@@ -133,11 +133,9 @@ def time_render(field, scene, repeats: int, **request_kwargs):
 
 def make_baseline_spnerf(bundle):
     """The pre-optimisation spnerf field: every hot-path switch off."""
-    field = field_from_bundle(
+    return field_from_bundle(
         bundle, "spnerf", dedup_vertices=False, cull_empty_samples=False, occupancy=False
     )
-    field.accepts_encoded_dirs = False  # per-sample view-direction encoding
-    return field
 
 
 def occupancy_stats(result):

@@ -25,17 +25,27 @@ from repro.core.config import SpNeRFConfig
 from repro.core.decoding import OnlineDecoder
 from repro.core.preprocessing import SpNeRFModel, preprocess
 from repro.datasets.synthetic import SyntheticScene
-from repro.grid.interpolation import trilinear_interpolate_multi
-from repro.nerf.encoding import positional_encoding
+from repro.grid.voxel_grid import GridSpec
 from repro.nerf.mlp import MLP
-from repro.nerf.renderer import RenderStats
+from repro.nerf.occupancy import build_occupancy_index
+from repro.nerf.renderer import GridField
 from repro.vqrf.model import VQRFModel, compress_scene
+
+# perfbench/tracing.py wraps these names in this module.  The shared kernel in
+# repro.nerf.renderer does the interpolation and encoding, so the spans
+# wrapped here stay empty.
+from repro.grid.interpolation import trilinear_interpolate_multi  # noqa: F401
+from repro.nerf.encoding import positional_encoding  # noqa: F401
 
 __all__ = ["SpNeRFField", "SpNeRFBundle", "build_spnerf_from_scene"]
 
 
-class SpNeRFField:
+class SpNeRFField(GridField):
     """Radiance field backed by SpNeRF online decoding.
+
+    The shared grid-field kernel runs with the online decoder as its vertex
+    fetch: each corner is decoded through the hash tables and bitmap, and no
+    dense grid ever exists.
 
     Parameters
     ----------
@@ -51,16 +61,17 @@ class SpNeRFField:
         whose voxel cell is entirely unoccupied — one gather into the
         shared :class:`~repro.nerf.occupancy.OccupancyIndex` built from the
         bitmap (the same index the renderer's occupancy guidance uses, so
-        there is exactly one cull implementation).  Output-identical when
-        bitmap masking is enabled, because masking decodes every unoccupied
-        vertex to exactly zero; it is automatically disabled when masking is
-        off, where hash collisions make empty cells decode non-zero.  Note
-        that culled cells never reach the decoder, so :class:`DecodeStats`
-        no longer counts their empty-slot/masking diagnostics; pass
-        ``cull_empty_samples=False`` to recover the exhaustive counters.
+        there is exactly one cull implementation).  The renderer culls once
+        itself when occupancy guidance is on; this field-level cull serves
+        unguided renders and direct :meth:`query` calls.  Output-identical
+        when bitmap masking is enabled, because masking decodes every
+        unoccupied vertex to exactly zero; it is automatically disabled when
+        masking is off, where hash collisions make empty cells decode
+        non-zero.  Note that culled cells never reach the decoder, so
+        :class:`DecodeStats` no longer counts their empty-slot/masking
+        diagnostics; pass ``cull_empty_samples=False`` to recover the
+        exhaustive counters.
     """
-
-    accepts_encoded_dirs = True
 
     def __init__(
         self,
@@ -71,14 +82,32 @@ class SpNeRFField:
         dedup_vertices: bool = True,
         cull_empty_samples: bool = True,
     ) -> None:
+        super().__init__(mlp, num_view_frequencies)
         self.model = model
-        self.mlp = mlp
-        self.num_view_frequencies = num_view_frequencies
         self.decoder = OnlineDecoder(
             model, use_bitmap_masking=use_bitmap_masking, deduplicate=dedup_vertices
         )
         self.cull_empty_samples = cull_empty_samples
-        self.last_stats = RenderStats()
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.model.spec
+
+    def fetch_vertices(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.decoder.decode_vertices(vertices)
+
+    def cull_index(self):
+        """The shared occupancy index while the empty-cell cull is sound and on."""
+        if self.cull_empty_samples and self.decoder.masking_enabled:
+            return self.occupancy_index()
+        return None
+
+    def unique_fetches(self) -> int:
+        return self.decoder.stats.num_unique_lookups
+
+    # Bound in this class's own namespace so per-class profilers (see
+    # perfbench/tracing.py) can wrap SpNeRFField.query.
+    query = GridField.query
 
     # ------------------------------------------------------------------
     def occupancy_grid(self):
@@ -96,99 +125,7 @@ class SpNeRFField:
 
     def occupancy_index(self):
         """The field's shared (cached) occupancy index, or ``None``."""
-        from repro.nerf.occupancy import build_occupancy_index
-
         return build_occupancy_index(self)
-
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        points: np.ndarray,
-        view_dirs: np.ndarray,
-        encoded_dirs: Optional[np.ndarray] = None,
-        active_mask: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        points = np.asarray(points, dtype=np.float64)
-        view_dirs = np.asarray(view_dirs, dtype=np.float64)
-        spec = self.model.spec
-        n = points.shape[0]
-
-        density = np.zeros(n, dtype=np.float64)
-        rgb = np.zeros((n, 3), dtype=np.float64)
-        inside = spec.contains(points)
-        if active_mask is not None:
-            inside = inside & np.asarray(active_mask, dtype=bool)
-        if not np.any(inside):
-            # Fresh counters on the early-return path too: the active-sample
-            # and vertex-lookup counts must read 0, not the previous query's.
-            self.last_stats = RenderStats(
-                num_samples=n, num_active_samples=0, num_vertex_lookups=0
-            )
-            return density, rgb
-
-        grid_coords = spec.world_to_grid(points[inside])
-        k = grid_coords.shape[0]
-
-        # Coarse empty-space cull: a sample whose voxel cell holds no occupied
-        # corner would decode to exactly zero anyway (masking zeroes every
-        # unoccupied vertex), so the lattice, decode and interpolation are all
-        # skipped for it.  The verdict comes from the shared occupancy index
-        # (one gather per sample), whose cell convention matches the
-        # interpolation's base vertex.
-        keep = None
-        if self.cull_empty_samples and self.decoder.masking_enabled:
-            index = self.occupancy_index()
-            if index is not None:
-                keep = np.flatnonzero(index.cell_mask(grid_coords))
-                if keep.size == k:
-                    keep = None  # nothing culled; interpolate everything in place
-
-        unique_before = self.decoder.stats.num_unique_lookups
-        live_coords = grid_coords if keep is None else grid_coords[keep]
-        interp_density = np.zeros(k, dtype=np.float64)
-        interp_features = np.zeros((k, self.model.feature_dim), dtype=np.float64)
-        if live_coords.shape[0]:
-            d, f = trilinear_interpolate_multi(
-                live_coords, self.decoder.decode_vertices, spec.resolution
-            )
-            if keep is None:
-                interp_density, interp_features = d, f
-            else:
-                interp_density[keep] = d
-                interp_features[keep] = f
-        unique_fetches = self.decoder.stats.num_unique_lookups - unique_before
-
-        # Empty samples (all eight decoded vertices zero) skip the MLP — this
-        # is the sparsity the accelerator exploits, so the software model
-        # mirrors it and reports the active-sample count to the hardware model.
-        active = (interp_density > 0.0) | np.any(interp_features != 0.0, axis=-1)
-        colors = np.zeros((grid_coords.shape[0], 3), dtype=np.float64)
-        if np.any(active):
-            if encoded_dirs is not None:
-                encoded = encoded_dirs[inside][active]
-            else:
-                encoded = positional_encoding(
-                    view_dirs[inside][active], self.num_view_frequencies
-                )
-            mlp_in = np.concatenate([interp_features[active], encoded], axis=-1)
-            colors[active] = self.mlp.forward(mlp_in)
-
-        density[inside] = interp_density
-        rgb[inside] = colors
-
-        self.last_stats = RenderStats(
-            num_samples=n,
-            num_active_samples=int(active.sum()),
-            num_vertex_lookups=int(inside.sum()) * 8,
-            num_unique_vertex_fetches=int(unique_fetches),
-        )
-        return density, rgb
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> RenderStats:
-        """Workload counters from the most recent :meth:`query`."""
-        return self.last_stats
 
     def memory_report(self) -> Dict[str, int]:
         """Rendering-time memory: hash tables + bitmap + codebook + true grid."""

@@ -72,8 +72,14 @@ class GridSpec:
         or discard them as appropriate.
         """
         pts = np.asarray(points, dtype=np.float64)
-        lo = np.asarray(self.bbox_min, dtype=np.float64)
-        return (pts - lo) / self.voxel_size
+        voxel = self.voxel_size
+        # Axis by axis: the same (p - lo) / voxel per element as broadcasting
+        # against (3,), at a fraction of the cost for long (N, 3) inputs.
+        out = np.empty_like(pts)
+        for axis in range(3):
+            np.subtract(pts[..., axis], self.bbox_min[axis], out=out[..., axis])
+            out[..., axis] /= voxel[axis]
+        return out
 
     def grid_to_world(self, coords: np.ndarray) -> np.ndarray:
         """Map continuous grid coordinates back to world space."""
@@ -97,9 +103,11 @@ class GridSpec:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of world-space points inside the bounding box."""
         pts = np.asarray(points, dtype=np.float64)
-        lo = np.asarray(self.bbox_min, dtype=np.float64)
-        hi = np.asarray(self.bbox_max, dtype=np.float64)
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+        lo, hi = self.bbox_min, self.bbox_max
+        inside = (pts[..., 0] >= lo[0]) & (pts[..., 0] <= hi[0])
+        for axis in (1, 2):
+            inside &= (pts[..., axis] >= lo[axis]) & (pts[..., axis] <= hi[axis])
+        return inside
 
 
 class VoxelGrid:

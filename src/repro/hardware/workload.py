@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.pipeline import SpNeRFBundle
 from repro.datasets.synthetic import SyntheticScene
+from repro.nerf.encoding import positional_encoding
 from repro.nerf.mlp import MLPSpec
 from repro.nerf.occupancy import build_occupancy_index
 from repro.nerf.rays import generate_rays, ray_aabb_intersect, sample_along_rays
@@ -252,16 +253,20 @@ def workload_from_render(
 
     n, s, _ = points.shape
     flat_points = points.reshape(-1, 3)
-    flat_dirs = np.repeat(rays.directions, s, axis=0)
-    # Probe with the empty-cell cull disabled: culled samples never reach the
-    # decoder, which would fold bitmap-cull skips into the measured vertex
-    # reuse — the ratio must capture corner *sharing* only.
-    cull = getattr(field_obj, "cull_empty_samples", False)
-    field_obj.cull_empty_samples = False
-    try:
-        density, _ = field_obj.query(flat_points, flat_dirs)
-    finally:
-        field_obj.cull_empty_samples = cull
+    spec = field_obj.spec
+    inside_ids = np.flatnonzero(spec.contains(flat_points))
+    # Shade every in-bounds sample with the field's empty-cell cull bypassed:
+    # culled samples never reach the decoder, which would fold bitmap-cull
+    # skips into the measured vertex reuse — the ratio must capture corner
+    # *sharing* only.  The field itself is not modified.
+    in_density, _ = field_obj.shade(
+        spec.world_to_grid(flat_points[inside_ids]),
+        positional_encoding(rays.directions, field_obj.num_view_frequencies),
+        inside_ids // s,
+        cull=False,
+    )
+    density = np.zeros(n * s, dtype=np.float64)
+    density[inside_ids] = in_density
     density = density.reshape(n, s)
 
     inside = scene.grid.spec.contains(flat_points).reshape(n, s)

@@ -117,10 +117,14 @@ class MLP:
             raise ValueError(
                 f"input dim {x.shape[-1]} does not match spec {self.spec.input_dim}"
             )
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
-            if i < len(self.weights) - 1:
-                x = _relu(x)
+            # Bias and ReLU in place on the fresh matmul output: same values
+            # as ``relu(x @ w + b)`` without two temporaries per layer.
+            x = x @ w
+            x += b
+            if i < last:
+                np.maximum(x, 0.0, out=x)
         if apply_sigmoid:
             x = _sigmoid(x)
         return x

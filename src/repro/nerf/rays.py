@@ -236,7 +236,9 @@ def sample_along_rays(
     num_samples: int,
     stratified: bool = False,
     rng: Optional[np.random.Generator] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    rows: Optional[np.ndarray] = None,
+    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+):
     """Draw sample points along each ray.
 
     Parameters
@@ -250,25 +252,50 @@ def sample_along_rays(
         sampling); deterministic midpoints otherwise (rendering-style).
     rng:
         Random generator used for stratified jitter.
+    rows:
+        Optional indices of the rays to sample; the outputs then have one row
+        per index.  Stratified jitter is still drawn for every ray of
+        ``rays``, so a ray's samples do not depend on which rays are sampled.
+    bounds:
+        Optional per-row ``(near, far)`` sub-interval, e.g. the occupied
+        interval from :meth:`~repro.nerf.occupancy.OccupancyIndex.clip_rays`.
+        The t-grid still spans each ray's own ``[near, far]``; world points
+        are formed only for the samples whose ``t`` lies inside ``bounds``.
 
     Returns
     -------
     (points, t_values):
         ``(N, S, 3)`` world-space sample points and ``(N, S)`` ray parameters.
+    (points, t_values, ids):
+        With ``bounds``: ``(K, 3)`` points of the ``K`` samples inside the
+        bounds, ``(N, S)`` ray parameters and the samples' flat indices into
+        the ``(N, S)`` grid, in ray-major order.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
     n = rays.num_rays
     edges = np.linspace(0.0, 1.0, num_samples + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    fractions = np.broadcast_to(mids, (n, num_samples)).copy()
+    fractions = np.broadcast_to(mids, (n, num_samples))
     if stratified:
         rng = rng or np.random.default_rng(0)
         half_bin = 0.5 / num_samples
         jitter = rng.uniform(-half_bin, half_bin, size=(n, num_samples))
         fractions = np.clip(fractions + jitter, 0.0, 1.0)
 
-    span = (rays.far - rays.near)[:, None]
-    t_values = rays.near[:, None] + fractions * span
-    points = rays.origins[:, None, :] + t_values[..., None] * rays.directions[:, None, :]
-    return points, t_values
+    near, far, origins, directions = rays.near, rays.far, rays.origins, rays.directions
+    if rows is not None:
+        near, far, origins, directions = near[rows], far[rows], origins[rows], directions[rows]
+        fractions = fractions[rows] if stratified else fractions[: len(rows)]
+    t_values = near[:, None] + fractions * (far - near)[:, None]
+    if bounds is None:
+        points = origins[:, None, :] + t_values[..., None] * directions[:, None, :]
+        return points, t_values
+    within = (t_values >= bounds[0][:, None]) & (t_values <= bounds[1][:, None])
+    ids = np.flatnonzero(within)
+    ray_ids = ids // num_samples
+    # np.take: row gathers much cheaper than fancy indexing for (N, 3) arrays.
+    points = np.take(directions, ray_ids, axis=0)
+    points *= t_values.reshape(-1)[ids][:, None]
+    points += np.take(origins, ray_ids, axis=0)
+    return points, t_values, ids

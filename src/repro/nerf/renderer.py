@@ -1,4 +1,4 @@
-"""The volumetric renderer and the dense-grid reference radiance field.
+"""The volumetric renderer and the voxel-grid radiance fields.
 
 :class:`VolumetricRenderer` walks rays through the scene bounding box,
 queries a :class:`RadianceField` for per-sample density and RGB, and
@@ -7,42 +7,65 @@ reference pipeline, the VQRF restore-based pipeline and the SpNeRF online
 decoding pipeline be compared with identical cameras, sampling and
 compositing.
 
-Three hot-path optimisations live here:
+Rendering is ray-first: only the occupied part of each ray is sampled,
+culled and composited, once.
 
-* the view direction of a ray is identical for all of its samples, so the
-  positional encoding is computed once per ray — and once per *frame* in
-  :meth:`VolumetricRenderer.render_image`, which slices it per chunk —
-  instead of once per sample (fields opt in via ``accepts_encoded_dirs``);
-* occupancy-guided rendering (``RenderConfig.use_occupancy``, on by
-  default): an :class:`~repro.nerf.occupancy.OccupancyIndex` derived from the
-  field's grids tightens each ray's integration interval to the occupied
-  region (rays missing it entirely are answered as background with zero field
-  queries) and culls samples landing in empty cells before the field query,
-  gathering the survivors into one contiguous batch.  Bit-identical by
-  construction: every culled sample would have decoded to exactly zero
-  density and color, so the composited arrays are unchanged;
-* opt-in early ray termination (``RenderConfig.transmittance_threshold``):
-  samples are queried in depth blocks and rays whose transmittance has fallen
-  below the threshold stop being queried.  Off by default so the default
-  render stays bit-exact; :meth:`RenderConfig.fast` turns it on.
+1. Each ray's interval is clamped to the occupied region of the field's
+   :class:`~repro.nerf.occupancy.OccupancyIndex` (``RenderConfig.use_occupancy``,
+   on by default).  This touches only the rays.
+2. The unchanged t-grid is computed only for the rays that hit the region,
+   and world points only for the samples inside each clamped interval.
+3. Those points are culled once against the index's cell grid; the grid
+   coordinates the cull computes are kept.
+4. The survivors go, in ray-major order, to :func:`shade_grid_samples`, the
+   one kernel every :class:`GridField` shares (interpolate -> active -> MLP,
+   parameterised by the field's vertex fetch).  Fields that are not grid
+   fields get the survivors' world points through ``query``.
+5. Only rays with at least one surviving sample are composited.  Every other
+   pixel is exactly the background: its alphas are 0, so all its weights are.
+
+Unguided rendering (``use_occupancy=False``, or a field without an index) is
+the same path with every sample selected.  The result is bit-identical
+either way: a culled sample would have decoded to exactly zero density and
+colour, and the MLP sees the same survivors in the same order.
+
+The view direction of a ray is identical for all of its samples, so its
+positional encoding is computed once per ray (once per frame in
+:meth:`VolumetricRenderer.render_image`, sliced per chunk).
+
+Opt-in early ray termination (``RenderConfig.transmittance_threshold``) shades
+the surviving samples in depth blocks and stops shading rays whose
+transmittance has fallen below the threshold.  Off by default so the default
+render stays bit-exact; :meth:`RenderConfig.fast` turns it on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.grid.interpolation import trilinear_interpolate_multi
-from repro.grid.voxel_grid import VoxelGrid
+from repro.grid.voxel_grid import GridSpec, VoxelGrid
 from repro.nerf.encoding import positional_encoding
-from repro.nerf.occupancy import build_occupancy_index
+from repro.nerf.occupancy import OccupancyIndex, build_occupancy_index
 from repro.nerf.mlp import MLP
 from repro.nerf.rays import Camera, RayBatch, generate_rays, ray_aabb_intersect, sample_along_rays
 from repro.nerf.volume_rendering import composite_rays, density_to_alpha, segment_lengths
 
-__all__ = ["RadianceField", "DenseGridField", "RenderConfig", "VolumetricRenderer", "RenderStats"]
+__all__ = [
+    "RadianceField",
+    "GridField",
+    "DenseGridField",
+    "RenderConfig",
+    "VolumetricRenderer",
+    "RenderStats",
+    "shade_grid_samples",
+]
+
+#: Maps ``(M, 3)`` int64 vertex coordinates to ``(density (M,), features (M, C))``.
+VertexFetch = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 class RadianceField(Protocol):
@@ -144,24 +167,109 @@ class RenderStats:
         self.num_skipped_rays += other.num_skipped_rays
 
 
-class DenseGridField:
-    """Reference radiance field: dense voxel grid + MLP decoder.
+def shade_grid_samples(
+    grid_coords: np.ndarray,
+    fetch: VertexFetch,
+    resolution: int,
+    mlp: MLP,
+    encoded: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The grid-field kernel: interpolate -> active -> MLP.
 
-    Density is trilinearly interpolated from the grid's density channel; color
-    comes from the MLP applied to the interpolated 12-channel feature and the
-    encoded view direction.  This is the "ground truth" field the synthetic
-    dataset's images are rendered from, and also what VQRF reconstructs after
-    its restore step.  Density and features are fetched in one fused
-    interpolation pass, so the corner lattice is computed once per query.
+    ``grid_coords`` are ``(K, 3)`` continuous grid coordinates the caller
+    has already bounds-checked (and, if it culls, culled).  The eight corners
+    of each sample come from ``fetch`` and are interpolated in one fused
+    pass.  Samples whose density and features are all zero skip the MLP —
+    the sparsity every voxel NeRF renderer, and the accelerator, exploits.
+    ``encoded`` holds view-direction encodings; sample ``i`` uses row
+    ``rows[i]`` (row ``i`` when ``rows`` is omitted).
+
+    Returns raw density ``(K,)``, RGB ``(K, 3)`` and the active-sample count.
+    """
+    k = grid_coords.shape[0]
+    rgb = np.zeros((k, 3), dtype=np.float64)
+    if k == 0:
+        return np.zeros(0, dtype=np.float64), rgb, 0
+    density, features = trilinear_interpolate_multi(grid_coords, fetch, resolution)
+    active = np.flatnonzero((density > 0.0) | np.any(features != 0.0, axis=-1))
+    if active.size:
+        view = np.take(encoded, active if rows is None else rows[active], axis=0)
+        features = np.take(features, active, axis=0)
+        rgb[active] = mlp.forward(np.concatenate([features, view], axis=-1))
+    return density, rgb, int(active.size)
+
+
+class GridField:
+    """Shared body of the voxel-grid fields (dense, VQRF-restored, SpNeRF).
+
+    Subclasses provide ``spec`` (the grid geometry) and
+    :meth:`fetch_vertices`; they may add their own empty-cell cull
+    (:meth:`cull_index`) and a physical-fetch counter
+    (:meth:`unique_fetches`).  :meth:`shade` runs :func:`shade_grid_samples`
+    on grid coordinates, which is what the renderer calls; :meth:`query` is
+    the world-space wrapper for protocol callers.
     """
 
     accepts_encoded_dirs = True
+    spec: GridSpec
 
-    def __init__(self, grid: VoxelGrid, mlp: MLP, num_view_frequencies: int = 4) -> None:
-        self.grid = grid
+    def __init__(self, mlp: MLP, num_view_frequencies: int = 4) -> None:
         self.mlp = mlp
         self.num_view_frequencies = num_view_frequencies
         self.last_stats = RenderStats()
+
+    def fetch_vertices(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Density and features of ``(M, 3)`` int64 grid vertices."""
+        raise NotImplementedError
+
+    def cull_index(self) -> Optional[OccupancyIndex]:
+        """Index of the field's own empty-cell cull, or ``None`` for none."""
+        return None
+
+    def unique_fetches(self) -> Optional[int]:
+        """Running count of physical vertex fetches (``None``: all are physical)."""
+        return None
+
+    # ------------------------------------------------------------------
+    def shade(
+        self,
+        grid_coords: np.ndarray,
+        encoded: np.ndarray,
+        rows: Optional[np.ndarray] = None,
+        cull: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-sample raw density and RGB of in-bounds grid coordinates.
+
+        ``encoded``/``rows`` are as in :func:`shade_grid_samples`.  With
+        ``cull`` the field's own empty-cell cull (if any) skips samples in
+        empty cells, which decode to exactly zero; callers that already
+        culled against the same index pass ``cull=False``.  Counters land in
+        :attr:`last_stats`: 8 logical vertex lookups per given sample.
+        """
+        k = grid_coords.shape[0]
+        index = self.cull_index() if cull else None
+        keep = None if index is None else np.flatnonzero(index.cell_mask(grid_coords))
+        before = self.unique_fetches()
+        args = (self.fetch_vertices, self.spec.resolution, self.mlp, encoded)
+        if keep is None or keep.size == k:
+            density, rgb, active = shade_grid_samples(grid_coords, *args, rows)
+        else:
+            density = np.zeros(k, dtype=np.float64)
+            rgb = np.zeros((k, 3), dtype=np.float64)
+            density[keep], rgb[keep], active = shade_grid_samples(
+                np.take(grid_coords, keep, axis=0), *args, keep if rows is None else rows[keep]
+            )
+        lookups = 8 * k
+        self.last_stats = RenderStats(
+            num_samples=k,
+            num_active_samples=active,
+            num_vertex_lookups=lookups,
+            num_unique_vertex_fetches=(
+                lookups if before is None else self.unique_fetches() - before
+            ),
+        )
+        return density, rgb
 
     def query(
         self,
@@ -170,71 +278,63 @@ class DenseGridField:
         encoded_dirs: Optional[np.ndarray] = None,
         active_mask: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-sample raw density and RGB.
+        """Per-sample raw density and RGB of world-space points.
 
+        Points outside the grid's bounding box are exactly zero.
         ``active_mask`` is an optional precomputed ``(N,)`` occupancy verdict
         (typically from an :class:`~repro.nerf.occupancy.OccupancyIndex`):
-        samples marked ``False`` are guaranteed empty by the caller, so they
-        skip interpolation and the MLP entirely and return exactly zero —
-        the early-out the SpNeRF pipeline's bitmap cull has always had.
+        samples marked ``False`` are guaranteed empty by the caller and
+        return exactly zero without being shaded.
         """
         points = np.asarray(points, dtype=np.float64)
-        view_dirs = np.asarray(view_dirs, dtype=np.float64)
-        spec = self.grid.spec
-        inside = spec.contains(points)
-        if active_mask is not None:
-            inside = inside & np.asarray(active_mask, dtype=bool)
         n = points.shape[0]
-
+        inside = self.spec.contains(points)
+        if active_mask is not None:
+            inside &= np.asarray(active_mask, dtype=bool)
+        inside = np.flatnonzero(inside)
+        if encoded_dirs is None:
+            encoded = positional_encoding(
+                np.asarray(view_dirs, dtype=np.float64)[inside], self.num_view_frequencies
+            )
+            rows = None
+        else:
+            encoded, rows = encoded_dirs, inside
+        d, c = self.shade(self.spec.world_to_grid(points[inside]), encoded, rows)
         density = np.zeros(n, dtype=np.float64)
         rgb = np.zeros((n, 3), dtype=np.float64)
-        if not np.any(inside):
-            # Reset the counters too: a stale active-sample count from the
-            # previous query would otherwise be attributed to this one.
-            self.last_stats = RenderStats(num_samples=n)
-            return density, rgb
-
-        grid_coords = spec.world_to_grid(points[inside])
-
-        interp_density, interp_features = trilinear_interpolate_multi(
-            grid_coords,
-            lambda v: (
-                self.grid.density[v[:, 0], v[:, 1], v[:, 2]],
-                self.grid.features[v[:, 0], v[:, 1], v[:, 2]],
-            ),
-            spec.resolution,
-        )
-
-        # Only samples that actually touch occupied space need the MLP: empty
-        # samples contribute neither opacity nor color, and skipping them is
-        # what makes sparse scenes cheap (the same early-out every voxel NeRF
-        # renderer performs).
-        active = (interp_density > 0.0) | np.any(interp_features != 0.0, axis=-1)
-        colors = np.zeros((grid_coords.shape[0], 3), dtype=np.float64)
-        if np.any(active):
-            if encoded_dirs is not None:
-                encoded = encoded_dirs[inside][active]
-            else:
-                encoded = positional_encoding(
-                    view_dirs[inside][active], self.num_view_frequencies
-                )
-            mlp_in = np.concatenate([interp_features[active], encoded], axis=-1)
-            colors[active] = self.mlp.forward(mlp_in)
-
-        density[inside] = interp_density
-        rgb[inside] = colors
-
-        lookups = int(inside.sum()) * 8
-        self.last_stats = RenderStats(
-            num_rays=0,
-            num_samples=n,
-            num_active_samples=int(active.sum()),
-            num_vertex_lookups=lookups,
-            # The dense field indexes its host arrays directly: every lookup
-            # is a physical fetch, so the reuse ratio reads 1.0.
-            num_unique_vertex_fetches=lookups,
-        )
+        density[inside] = d
+        rgb[inside] = c
+        self.last_stats.num_samples = n
         return density, rgb
+
+    @property
+    def stats(self) -> RenderStats:
+        """Workload counters from the most recent :meth:`query` or :meth:`shade`."""
+        return self.last_stats
+
+
+class DenseGridField(GridField):
+    """Reference radiance field: dense voxel grid + MLP decoder.
+
+    Density is trilinearly interpolated from the grid's density channel; color
+    comes from the MLP applied to the interpolated 12-channel feature and the
+    encoded view direction.  This is the "ground truth" field the synthetic
+    dataset's images are rendered from, and also what VQRF reconstructs after
+    its restore step.  The vertex fetch is a direct gather from the host
+    arrays, so every lookup is a physical fetch (reuse ratio 1.0).
+    """
+
+    def __init__(self, grid: VoxelGrid, mlp: MLP, num_view_frequencies: int = 4) -> None:
+        super().__init__(mlp, num_view_frequencies)
+        self.grid = grid
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.grid.spec
+
+    def fetch_vertices(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        x, y, z = vertices[:, 0], vertices[:, 1], vertices[:, 2]
+        return self.grid.density[x, y, z], self.grid.features[x, y, z]
 
     # ------------------------------------------------------------------
     def occupancy_grid(self):
@@ -246,12 +346,6 @@ class DenseGridField:
         exactly zero.
         """
         return self.grid.spec, self.grid.occupancy_mask()
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> RenderStats:
-        """Workload counters from the most recent :meth:`query`."""
-        return self.last_stats
 
     def memory_report(self) -> Dict[str, int]:
         """Rendering-time memory: the full dense density and feature grids."""
@@ -271,9 +365,9 @@ class VolumetricRenderer:
     field, config:
         The radiance field and sampling/compositing parameters.
     occupancy:
-        Optional explicit :class:`~repro.nerf.occupancy.OccupancyIndex`.
-        When omitted and ``config.use_occupancy`` is on, the field's own
-        cached index is used (built once per bundle by
+        Optional explicit :class:`~repro.nerf.occupancy.OccupancyIndex` over
+        the field's own grid.  When omitted and ``config.use_occupancy`` is
+        on, the field's own cached index is used (built once per bundle by
         :func:`~repro.nerf.occupancy.build_occupancy_index`); fields may opt
         out wholesale with a ``use_occupancy = False`` attribute (set by
         ``PipelineConfig(occupancy=False)``).
@@ -293,10 +387,9 @@ class VolumetricRenderer:
             if occupancy is None:
                 occupancy = build_occupancy_index(field)
             self.occupancy = occupancy
-        #: Scratch density/rgb buffers reused across chunks of a frame (the
-        #: chunks of one frame share at most two shapes, so this avoids a
-        #: multi-MB allocation per chunk on the hot path).
-        self._scratch: Dict[Tuple, np.ndarray] = {}
+        self._grid = isinstance(field, GridField)
+        if self._grid and self.occupancy is not None and self.occupancy.spec != field.spec:
+            raise ValueError("the occupancy index must cover the field's own grid")
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
@@ -310,42 +403,45 @@ class VolumetricRenderer:
         """
         self.last_stats = RenderStats()
 
-    def _zeros(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """A zeroed float64 scratch array, reusing storage when shapes repeat."""
-        if len(self._scratch) > 8:  # safety valve against shape churn
-            self._scratch.clear()
-        key = (name, shape)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.zeros(shape, dtype=np.float64)
-            self._scratch[key] = buf
-        else:
-            buf.fill(0.0)
-        return buf
-
     # ------------------------------------------------------------------
     def _encode_ray_dirs(self, directions: np.ndarray) -> Optional[np.ndarray]:
-        """Per-ray view-direction encoding, if the field can accept it."""
-        if not getattr(self.field, "accepts_encoded_dirs", False):
+        """Per-ray view-direction encoding, if the field takes one.
+
+        Grid fields always do (the kernel gathers per-ray rows); any other
+        field opts in with ``accepts_encoded_dirs``.
+        """
+        if not (self._grid or getattr(self.field, "accepts_encoded_dirs", False)):
             return None
         frequencies = getattr(
             self.field, "num_view_frequencies", self.config.num_view_frequencies
         )
         return positional_encoding(directions, frequencies)
 
-    def _query(
+    def _shade(
         self,
-        points: np.ndarray,
-        dirs: np.ndarray,
+        samples: np.ndarray,
+        sample_rays: np.ndarray,
+        directions: np.ndarray,
         encoded: Optional[np.ndarray],
         batch_stats: RenderStats,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Query the field and fold its per-query counters into ``batch_stats``."""
-        if encoded is not None:
-            density, rgb = self.field.query(points, dirs, encoded_dirs=encoded)
+        """Density and RGB of selected samples, counters folded into ``batch_stats``.
+
+        ``samples`` are grid coordinates for a grid field and world points
+        otherwise; ``sample_rays`` names each sample's ray.
+        """
+        field = self.field
+        if self._grid:
+            density, rgb = field.shade(
+                samples, encoded, sample_rays, cull=self.occupancy is None
+            )
+        elif encoded is not None:
+            density, rgb = field.query(
+                samples, directions[sample_rays], encoded_dirs=encoded[sample_rays]
+            )
         else:
-            density, rgb = self.field.query(points, dirs)
-        stats = getattr(self.field, "last_stats", None)
+            density, rgb = field.query(samples, directions[sample_rays])
+        stats = getattr(field, "last_stats", None)
         if stats is not None:
             batch_stats.num_active_samples += stats.num_active_samples
             batch_stats.num_vertex_lookups += stats.num_vertex_lookups
@@ -355,6 +451,45 @@ class VolumetricRenderer:
         return density, rgb
 
     # ------------------------------------------------------------------
+    def _select_samples(
+        self, rays: RayBatch, rng: Optional[np.random.Generator]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sample and cull: steps 1-3 of the module docstring.
+
+        Returns ``(rows, t_values, ids, samples)``: the sampled rays, their
+        ``(R, S)`` t-grid, the flat ``(R, S)`` indices of the selected samples
+        in ray-major order, and those samples as grid coordinates (grid
+        fields) or world points.  Unguided, every sample is selected; a grid
+        field still drops the ones outside its bounding box, which it would
+        return as exact zeros.
+        """
+        cfg = self.config
+        occ = self.occupancy
+        s = cfg.num_samples
+        if occ is None:
+            rows = np.arange(rays.num_rays)
+            points, t_values = sample_along_rays(rays, s, cfg.stratified, rng)
+            points = points.reshape(-1, 3)
+            ids = np.arange(points.shape[0])
+            if not self._grid:
+                return rows, t_values, ids, points
+            spec = self.field.spec
+        else:
+            near, far, hit = occ.clip_rays(rays.origins, rays.directions, rays.near, rays.far)
+            rows = np.flatnonzero(hit)
+            points, t_values, ids = sample_along_rays(
+                rays, s, cfg.stratified, rng, rows=rows, bounds=(near[rows], far[rows])
+            )
+            spec = occ.spec
+        inside = np.flatnonzero(spec.contains(points))
+        coords = spec.world_to_grid(np.take(points, inside, axis=0))
+        if occ is not None:
+            keep = np.flatnonzero(occ.cell_mask(coords))
+            inside, coords = inside[keep], np.take(coords, keep, axis=0)
+        if not self._grid:
+            coords = np.take(points, inside, axis=0)
+        return rows, t_values, ids[inside], coords
+
     def render_rays(
         self,
         rays: RayBatch,
@@ -369,186 +504,100 @@ class VolumetricRenderer:
         :attr:`last_stats` — see :meth:`reset_stats`.
         """
         cfg = self.config
-        points, t_values = sample_along_rays(
-            rays, cfg.num_samples, stratified=cfg.stratified, rng=rng
-        )
-        n, s, _ = points.shape
-        encoded_rays = (
+        n, s = rays.num_rays, cfg.num_samples
+        guided = self.occupancy is not None
+        encoded = (
             encoded_dirs if encoded_dirs is not None else self._encode_ray_dirs(rays.directions)
         )
         batch_stats = RenderStats(num_rays=n, num_samples=n * s)
-        sample_mask = self._occupancy_sample_mask(rays, points, t_values)
+        rows, t_values, ids, samples = self._select_samples(rays, rng)
 
+        # Compact the rays with at least one selected sample ("live" rays):
+        # ``slot`` is each sample's flat index into the (live, S) arrays.
+        ray = ids // s
+        first = np.ones(ray.size, dtype=bool)
+        first[1:] = ray[1:] != ray[:-1]
+        live = ray[first]
+        slot = (np.cumsum(first) - 1) * s + (ids - ray * s)
+        sample_rays = rows[ray]
+        if guided:
+            batch_stats.num_skipped_rays += n - live.size
+
+        t_live = t_values[live]
         if cfg.transmittance_threshold > 0.0 and s > 1:
-            density, rgb = self._query_with_termination(
-                points, t_values, rays.directions, encoded_rays, batch_stats, sample_mask
+            density, rgb = self._shade_with_termination(
+                samples, slot, sample_rays, t_live, rays.directions, encoded, batch_stats
             )
-        elif sample_mask is not None:
-            density, rgb = self._query_compacted(
-                points, rays.directions, encoded_rays, batch_stats, sample_mask
-            )
+            if guided:
+                batch_stats.num_culled_samples += (n - live.size) * s
         else:
-            flat_points = points.reshape(-1, 3)
-            flat_dirs = np.repeat(rays.directions, s, axis=0)
-            flat_encoded = (
-                np.repeat(encoded_rays, s, axis=0) if encoded_rays is not None else None
+            density = np.zeros((live.size, s), dtype=np.float64)
+            rgb = np.zeros((live.size, s, 3), dtype=np.float64)
+            density.reshape(-1)[slot], rgb.reshape(-1, 3)[slot] = self._shade(
+                samples, sample_rays, rays.directions, encoded, batch_stats
             )
-            density, rgb = self._query(flat_points, flat_dirs, flat_encoded, batch_stats)
-            density = density.reshape(n, s)
-            rgb = rgb.reshape(n, s, 3)
+            if guided:
+                batch_stats.num_culled_samples += n * s - ids.size
 
-        pixels, _, _ = composite_rays(
-            density, rgb, t_values, background=np.asarray(cfg.background)
-        )
+        background = np.asarray(cfg.background, dtype=np.float64)
+        pixels = np.tile(background, (n, 1))
+        if live.size:
+            pixels[rows[live]] = composite_rays(density, rgb, t_live, background=background)[0]
         self.last_stats.merge(batch_stats)
         return pixels
 
     # ------------------------------------------------------------------
-    def _occupancy_sample_mask(
-        self, rays: RayBatch, points: np.ndarray, t_values: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Per-sample occupancy verdict ``(N, S)``, or ``None`` when unguided.
-
-        Two stacked conservative filters: the ray interval is clamped to the
-        occupied region's padded AABB (samples outside it — and every sample
-        of rays missing it — are empty without even a cell lookup), then the
-        samples inside the clamped interval are tested against the coarse
-        cell grid.  ``False`` therefore guarantees the field would decode the
-        sample to exactly zero density and color.
-        """
-        occ = self.occupancy
-        if occ is None:
-            return None
-        n, s, _ = points.shape
-        near, far, hit = occ.clip_rays(rays.origins, rays.directions, rays.near, rays.far)
-        mask = np.zeros((n, s), dtype=bool)
-        if not np.any(hit):
-            return mask
-        within = hit[:, None] & (t_values >= near[:, None]) & (t_values <= far[:, None])
-        widx = np.flatnonzero(within.reshape(-1))
-        if widx.size:
-            mask.reshape(-1)[widx] = occ.point_mask(points.reshape(-1, 3)[widx])
-        return mask
-
-    def _query_compacted(
+    def _shade_with_termination(
         self,
-        points: np.ndarray,
+        samples: np.ndarray,
+        slot: np.ndarray,
+        sample_rays: np.ndarray,
+        t_live: np.ndarray,
         directions: np.ndarray,
-        encoded_rays: Optional[np.ndarray],
+        encoded: Optional[np.ndarray],
         batch_stats: RenderStats,
-        sample_mask: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Query only occupancy-positive samples, gathered into one batch.
+        """Shade the selected samples in depth blocks, dropping rays that went opaque.
 
-        Survivors are gathered in flat (ray-major) order — the same order the
-        exhaustive path queries them in — and their per-ray direction rows
-        are index-gathered instead of ``np.repeat``-ing full per-sample
-        arrays, so the hot loop allocates proportionally to the *surviving*
-        samples.  Culled entries keep the exact zeros the field would have
-        returned, so compositing is unchanged bit-for-bit.
-        """
-        n, s, _ = points.shape
-        density = self._zeros("density", (n, s))
-        rgb = self._zeros("rgb", (n, s, 3))
-        batch_stats.num_skipped_rays += int(n - np.count_nonzero(sample_mask.any(axis=1)))
-        idx = np.flatnonzero(sample_mask.reshape(-1))
-        batch_stats.num_culled_samples += int(n * s - idx.size)
-        if idx.size:
-            ray_ids = idx // s
-            d, c = self._query(
-                points.reshape(-1, 3)[idx],
-                directions[ray_ids],
-                encoded_rays[ray_ids] if encoded_rays is not None else None,
-                batch_stats,
-            )
-            density.reshape(-1)[idx] = d
-            rgb.reshape(-1, 3)[idx] = c
-        return density, rgb
-
-    # ------------------------------------------------------------------
-    def _query_with_termination(
-        self,
-        points: np.ndarray,
-        t_values: np.ndarray,
-        directions: np.ndarray,
-        encoded_rays: Optional[np.ndarray],
-        batch_stats: RenderStats,
-        sample_mask: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Query samples in depth blocks, dropping rays that went opaque.
-
-        Samples never queried keep zero density, so they contribute nothing
-        when the assembled arrays are composited; the image differs from an
-        exhaustive render only by contributions bounded by the threshold.
-        ``sample_mask`` additionally culls occupancy-empty samples inside
-        each block (and rays with no occupied sample at all) the same way
-        the non-terminating path does.
+        Samples never shaded keep zero density, so they contribute nothing
+        when the arrays are composited; the image differs from an exhaustive
+        render only by contributions bounded by the threshold.  Under
+        occupancy guidance, the samples of live rays that a block does not
+        shade count as culled.
         """
         cfg = self.config
-        n, s, _ = points.shape
+        num_live, s = t_live.shape
         block = max(1, int(cfg.termination_block_size))
-        deltas = segment_lengths(t_values)
+        deltas = segment_lengths(t_live)
+        row, col = np.divmod(slot, s)
 
-        density = self._zeros("density", (n, s))
-        rgb = self._zeros("rgb", (n, s, 3))
-        transmittance = np.ones(n, dtype=np.float64)
-        if sample_mask is not None:
-            live = sample_mask.any(axis=1)
-            skipped = int(n - np.count_nonzero(live))
-            batch_stats.num_skipped_rays += skipped
-            batch_stats.num_culled_samples += skipped * s
-            alive = np.flatnonzero(live)
-        else:
-            alive = np.arange(n)
-
+        density = np.zeros((num_live, s), dtype=np.float64)
+        rgb = np.zeros((num_live, s, 3), dtype=np.float64)
+        transmittance = np.ones(num_live, dtype=np.float64)
+        alive = np.ones(num_live, dtype=bool)
         for start in range(0, s, block):
-            if alive.size == 0:
+            alive_rows = np.flatnonzero(alive)
+            if alive_rows.size == 0:
                 break
             end = min(start + block, s)
-            width = end - start
-            if sample_mask is not None:
-                sub = sample_mask[alive, start:end]
-                keep = np.flatnonzero(sub.reshape(-1))
-                batch_stats.num_culled_samples += int(sub.size - keep.size)
-                if keep.size == 0:
-                    # The whole depth block is provably empty for every live
-                    # ray; zero densities also leave the (1 + 1e-10)-guarded
-                    # transmittance product a no-op within the threshold's
-                    # tolerance, so the block is skipped outright.
-                    continue
-                ray_rows = alive[keep // width]
-                d_flat, c_flat = self._query(
-                    points[alive, start:end].reshape(-1, 3)[keep],
-                    directions[ray_rows],
-                    encoded_rays[ray_rows] if encoded_rays is not None else None,
-                    batch_stats,
-                )
-                d = np.zeros(alive.size * width, dtype=np.float64)
-                c = np.zeros((alive.size * width, 3), dtype=np.float64)
-                d[keep] = d_flat
-                c[keep] = c_flat
-                d = d.reshape(-1, width)
-                density[alive, start:end] = d
-                rgb[alive, start:end] = c.reshape(-1, width, 3)
-            else:
-                pts = points[alive, start:end].reshape(-1, 3)
-                dirs = np.repeat(directions[alive], width, axis=0)
-                enc = (
-                    np.repeat(encoded_rays[alive], width, axis=0)
-                    if encoded_rays is not None
-                    else None
-                )
-                d, c = self._query(pts, dirs, enc, batch_stats)
-                d = d.reshape(-1, width)
-                density[alive, start:end] = d
-                rgb[alive, start:end] = c.reshape(-1, width, 3)
-
+            pick = np.flatnonzero((col >= start) & (col < end) & alive[row])
+            if self.occupancy is not None:
+                batch_stats.num_culled_samples += alive_rows.size * (end - start) - pick.size
+            if pick.size == 0:
+                # No ray still alive has a selected sample in this block: zero
+                # densities leave the (1 + 1e-10)-guarded transmittance product
+                # a no-op within the threshold's tolerance, so skip it outright.
+                continue
+            density[row[pick], col[pick]], rgb[row[pick], col[pick]] = self._shade(
+                samples[pick], sample_rays[pick], directions, encoded, batch_stats
+            )
             # Same (1 - alpha + 1e-10) product as compute_weights, so the
             # termination decision is consistent with the compositor.
-            alphas = density_to_alpha(d, deltas[alive, start:end])
-            transmittance[alive] *= np.prod(1.0 - alphas + 1e-10, axis=-1)
-            alive = alive[transmittance[alive] > cfg.transmittance_threshold]
-
+            alphas = density_to_alpha(
+                density[alive_rows, start:end], deltas[alive_rows, start:end]
+            )
+            transmittance[alive_rows] *= np.prod(1.0 - alphas + 1e-10, axis=-1)
+            alive[alive_rows] = transmittance[alive_rows] > cfg.transmittance_threshold
         return density, rgb
 
     # ------------------------------------------------------------------

@@ -157,46 +157,21 @@ class VQRFModel:
         return self.spec.num_vertices * (1 + self.spec.feature_dim) * dtype_bytes
 
 
-class VQRFField:
+class VQRFField(DenseGridField):
     """Radiance field implementing the original VQRF render flow.
 
     ``restore()`` is called once (mirroring VQRF materialising the dense grid
-    before rendering); queries then behave exactly like the dense reference
-    field, so any PSNR difference to the reference isolates the compression
-    error (pruning + VQ + INT8), not the renderer.
+    before rendering); the field then is the dense reference field over the
+    restored grid, so any PSNR difference to the reference isolates the
+    compression error (pruning + VQ + INT8), not the renderer.  Its
+    occupancy is that of the restored grid: restoring writes only the
+    surviving voxels, so cells reported empty interpolate to exactly zero
+    regardless of what the pre-compression scene held there.
     """
 
-    accepts_encoded_dirs = True
-
     def __init__(self, model: VQRFModel, mlp: MLP, num_view_frequencies: int = 4) -> None:
+        super().__init__(model.restore(), mlp, num_view_frequencies)
         self.model = model
-        self.restored_grid = model.restore()
-        self._dense_field = DenseGridField(self.restored_grid, mlp, num_view_frequencies)
-        self.num_view_frequencies = num_view_frequencies
-        self.last_stats = self._dense_field.last_stats
-
-    def query(self, points: np.ndarray, view_dirs: np.ndarray, encoded_dirs=None, active_mask=None):
-        density, rgb = self._dense_field.query(
-            points, view_dirs, encoded_dirs=encoded_dirs, active_mask=active_mask
-        )
-        self.last_stats = self._dense_field.last_stats
-        return density, rgb
-
-    # ------------------------------------------------------------------
-    def occupancy_grid(self):
-        """Occupancy of the *restored* grid (what this field actually renders).
-
-        Restoring writes only the surviving voxels, so the mask is exact for
-        the rendered values — cells it reports empty interpolate to exactly
-        zero regardless of what the pre-compression scene held there.
-        """
-        return self._dense_field.occupancy_grid()
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        """Workload counters from the most recent :meth:`query`."""
-        return self.last_stats
 
     def memory_report(self) -> Dict[str, int]:
         """Rendering-time memory footprint of the VQRF flow.

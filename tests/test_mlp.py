@@ -62,6 +62,16 @@ class TestMLP:
         assert len(acts) == 5
         assert acts[-1].shape == (3, 3)
 
+    @pytest.mark.parametrize("mlp", [MLP.random(MLPSpec(), seed=3, scale=2.0), build_decoder_mlp()])
+    def test_forward_matches_forward_with_activations_bytes(self, mlp):
+        """The in-place forward pass computes exactly the unfused activations."""
+        inputs = np.random.default_rng(4).normal(size=(257, 39))
+        for apply_sigmoid, expected in ((True, -1), (False, -2)):
+            out = mlp.forward(inputs, apply_sigmoid=apply_sigmoid)
+            reference = mlp.forward_with_activations(inputs)[expected]
+            assert out.dtype == reference.dtype
+            assert out.tobytes() == reference.tobytes()
+
     def test_parameter_bytes_fp16(self):
         mlp = MLP.random(MLPSpec(), seed=0)
         assert mlp.parameter_bytes(2) == MLPSpec().num_parameters * 2

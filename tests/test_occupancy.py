@@ -17,8 +17,12 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     PipelineConfig,
@@ -32,7 +36,7 @@ from repro.datasets.synthetic import load_scene
 from repro.grid.voxel_grid import GridSpec, VoxelGrid
 from repro.nerf.mlp import build_decoder_mlp
 from repro.nerf.occupancy import OccupancyIndex, build_occupancy_index
-from repro.nerf.rays import RayBatch
+from repro.nerf.rays import Camera, RayBatch, look_at_pose, ray_aabb_intersect
 from repro.nerf.renderer import DenseGridField, VolumetricRenderer
 from repro.serve import RenderServer, SceneStore, make_backend
 
@@ -351,3 +355,155 @@ class TestWorkloadOccupancy:
         assert workload.occupancy_culled_samples_per_ray == 0.0
         assert workload.num_skipped_rays == 0
         assert workload.occupancy_processed_samples == workload.processed_samples
+
+
+# ----------------------------------------------------------------------
+# Ray-first rendering: generated cameras, spans and rays
+# ----------------------------------------------------------------------
+
+#: Counters of a direct render of ``occ_scene`` camera 0 per pipeline:
+#: (culled samples, skipped rays, active samples, vertex lookups, unique
+#: vertex fetches), guided and unguided.  perfbench's count metrics are
+#: ratios of these, so their meaning must not drift with the render path.
+PINNED_COUNTERS = {
+    ("dense", True): (7318, 350, 1898, 15184, 15184),
+    ("dense", False): (0, 0, 1898, 60416, 60416),
+    ("vqrf", True): (7422, 358, 1794, 14352, 14352),
+    ("vqrf", False): (0, 0, 1794, 60416, 60416),
+    ("spnerf", True): (7422, 358, 1794, 14352, 1756),
+    ("spnerf", False): (0, 0, 1794, 60416, 1756),
+    ("spnerf-nomask", True): (0, 0, 6119, 60416, 4086),
+    ("spnerf-nomask", False): (0, 0, 6119, 60416, 4086),
+}
+
+
+@pytest.fixture(scope="module")
+def occ_fields(occ_scene):
+    return {
+        pipeline: build_field(pipeline, occ_scene, OCC_CONFIG)
+        for pipeline in ("dense", "vqrf", "spnerf", "spnerf-nomask")
+    }
+
+
+@pytest.mark.parametrize("pipeline,guided", sorted(PINNED_COUNTERS))
+def test_render_counters_are_pinned(occ_scene, occ_fields, pipeline, guided):
+    stats = (
+        RenderEngine(occ_fields[pipeline], occ_scene)
+        .render(RenderRequest(camera_indices=(0,), use_occupancy=guided))
+        .stats
+    )
+    counters = (
+        stats.num_culled_samples,
+        stats.num_skipped_rays,
+        stats.num_active_samples,
+        stats.num_vertex_lookups,
+        stats.num_unique_vertex_fetches,
+    )
+    assert counters == PINNED_COUNTERS[(pipeline, guided)]
+
+
+def _render_both(field, scene, render, **config):
+    """``render(renderer)`` guided and unguided: (images, stats) pairs."""
+    out = []
+    for guided in (True, False):
+        cfg = replace(scene.render_config, use_occupancy=guided, **config)
+        renderer = VolumetricRenderer(field, cfg)
+        out.append((render(renderer), renderer.last_stats))
+    return out
+
+
+def _assert_guided_matches_unguided(results, pipeline):
+    (guided, guided_stats), (unguided, unguided_stats) = results
+    assert guided.tobytes() == unguided.tobytes(), pipeline
+    assert guided_stats.num_active_samples == unguided_stats.num_active_samples, pipeline
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    azimuth=st.floats(0.0, 2.0 * np.pi),
+    elevation=st.floats(-1.5, 1.5),
+    distance=st.one_of(st.floats(0.05, 0.9), st.floats(1.5, 4.0)),
+    target=st.tuples(_unit, _unit, _unit),
+    axis=st.sampled_from([None, 0, 1, 2]),
+    size=st.integers(1, 9),
+    span=st.tuples(st.integers(0, 80), st.integers(1, 81)),
+    chunk_size=st.integers(1, 50),
+    threshold=st.sampled_from([0.0, 1e-3]),
+)
+def test_guided_render_is_bit_identical_for_generated_cameras(
+    occ_scene, occ_fields, azimuth, elevation, distance, target, axis, size, span,
+    chunk_size, threshold,
+):
+    """Poses inside and outside the bbox, axis-parallel views, any tile span
+    and chunk size: guided rendering reproduces unguided rendering exactly."""
+    target = 0.6 * np.asarray(target)
+    if axis is None:
+        offset = np.array(
+            [
+                np.cos(elevation) * np.cos(azimuth),
+                np.cos(elevation) * np.sin(azimuth),
+                np.sin(elevation),
+            ]
+        )
+    else:
+        # An odd-sized image's centre ray is then exactly axis-parallel.
+        offset = np.eye(3)[axis]
+    eye = target + distance * offset
+    camera = Camera(size, size, focal=1.2 * size, camera_to_world=look_at_pose(eye, target))
+    start = min(span[0], camera.num_pixels - 1)
+    stop = min(max(span[1], start + 1), camera.num_pixels)
+    pixels = np.arange(start, stop)
+    lo, hi = occ_scene.bbox_min, occ_scene.bbox_max
+    for pipeline, field in occ_fields.items():
+        _assert_guided_matches_unguided(
+            _render_both(
+                field,
+                occ_scene,
+                lambda r: r.render_image(camera, lo, hi),
+                chunk_size=chunk_size,
+                transmittance_threshold=threshold,
+            ),
+            pipeline,
+        )
+        _assert_guided_matches_unguided(
+            _render_both(field, occ_scene, lambda r: r.render_pixels(camera, pixels, lo, hi)),
+            pipeline,
+        )
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    axis=st.integers(0, 2),
+    face=st.integers(0, 1),
+    ulps=st.integers(-2, 2),
+    along=st.floats(0.0, 1.0),
+    backwards=st.booleans(),
+)
+def test_rays_grazing_the_occupied_region_render_bit_identically(
+    occ_scene, occ_fields, axis, face, ulps, along, backwards
+):
+    """Axis-parallel rays running on (or a few ulps off) a face of the padded
+    occupied AABB that the ray clamp uses (``along`` 0 or 1: an edge)."""
+    for pipeline, field in occ_fields.items():
+        index = build_occupancy_index(field)
+        if index is None:
+            continue
+        lo, hi = index._aabb  # the padded box clip_rays clamps against
+        plane_axis = (axis + 1) % 3
+        origin = lo + along * (hi - lo)
+        plane = (lo, hi)[face][plane_axis]
+        origin[plane_axis] = plane + ulps * np.spacing(plane)
+        origin[axis] = 3.0 if backwards else -3.0
+        direction = np.zeros(3)
+        direction[axis] = -1.0 if backwards else 1.0
+        rays = ray_aabb_intersect(
+            RayBatch(origin[None, :], direction[None, :], np.zeros(1), np.full(1, 6.0)),
+            occ_scene.bbox_min,
+            occ_scene.bbox_max,
+        )
+        _assert_guided_matches_unguided(
+            _render_both(field, occ_scene, lambda r: r.render_rays(rays)), pipeline
+        )

@@ -58,7 +58,6 @@ class TestDecodeCacheEquivalence:
         baseline = field_from_bundle(
             spnerf_bundle, "spnerf", dedup_vertices=False, cull_empty_samples=False
         )
-        baseline.accepts_encoded_dirs = False  # per-sample view encoding too
         optimised = field_from_bundle(spnerf_bundle, "spnerf")
         assert np.array_equal(
             _render_image(baseline, small_scene).image,
