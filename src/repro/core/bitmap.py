@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.grid.interpolation import linear_vertex_ids
+
 __all__ = ["OccupancyBitmap"]
+
+#: Mask of bit ``i`` (MSB first, as ``np.packbits`` stores it) within a byte.
+_BIT_MASKS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 class OccupancyBitmap:
@@ -38,15 +43,9 @@ class OccupancyBitmap:
         self._num_bits = self.resolution ** 3
         flat = np.zeros(self._num_bits, dtype=bool)
         if positions.size:
-            flat[self._linear_index(positions)] = True
+            flat[linear_vertex_ids(positions, self.resolution)] = True
         self._packed = np.packbits(flat)
         self._num_set = int(flat.sum())
-
-    # ------------------------------------------------------------------
-    def _linear_index(self, positions: np.ndarray) -> np.ndarray:
-        p = np.asarray(positions, dtype=np.int64)
-        r = self.resolution
-        return (p[..., 0] * r + p[..., 1]) * r + p[..., 2]
 
     # ------------------------------------------------------------------
     @property
@@ -72,12 +71,13 @@ class OccupancyBitmap:
         in_range = np.all((p >= 0) & (p < self.resolution), axis=-1)
         result = np.zeros(p.shape[:-1], dtype=bool)
         if np.any(in_range):
-            linear = self._linear_index(p[in_range])
-            byte_idx = linear // 8
-            bit_idx = 7 - (linear % 8)
-            bits = (self._packed[byte_idx] >> bit_idx) & 1
-            result[in_range] = bits.astype(bool)
+            result[in_range] = self.lookup_ids(linear_vertex_ids(p[in_range], self.resolution))
         return result
+
+    def lookup_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Boolean occupancy of in-range linear vertex ids ``(x * R + y) * R + z``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return (np.take(self._packed, ids >> 3) & np.take(_BIT_MASKS, ids & 7)) != 0
 
     def to_dense(self) -> np.ndarray:
         """Unpack to a boolean ``(R, R, R)`` array (tests / visualisation)."""

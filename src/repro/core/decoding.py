@@ -1,8 +1,10 @@
 """Online sparse voxel-grid decoding (paper Section III-B).
 
-For every voxel-grid vertex a ray sample touches, the decoder:
+Every vertex is named by its linear id ``(x * R + y) * R + z``, the id the
+render kernel computes for the eight corners of a sample.  For every vertex
+a ray sample touches, the decoder:
 
-1. computes the subgrid id from the vertex's x coordinate,
+1. splits the id into ``(x, y, z)`` and computes the subgrid id from x,
 2. hashes the vertex with Eq. (1) and reads (index, density) from the
    subgrid's hash table,
 3. resolves the unified 18-bit index: below 4096 the color feature comes from
@@ -13,17 +15,19 @@ For every voxel-grid vertex a ray sample touches, the decoder:
    hash collisions.
 
 Adjacent ray samples share most of their eight corners, so by default the
-decoder runs a **vertex-reuse cache**: the requested positions are
-deduplicated (packed-int64 keys + ``np.unique``), only the unique vertices go
-through the hash tables / bitmap / codebook, and the results are scattered
-back through the inverse index.  This is the software analogue of the
-accelerator's double-buffered on-chip reuse and typically cuts decode work
-4-8x.  Because decoding is a pure per-position function, the scattered
-results are bit-identical to the non-deduplicated path.
+decoder runs a **vertex-reuse cache**: the requested ids are deduplicated
+(through a dense per-vertex slot table, or ``np.unique`` on grids too large
+for it), only the unique vertices go through the hash tables / bitmap /
+codebook, and the results are scattered back through the inverse index.
+This is the software analogue of the accelerator's double-buffered on-chip
+reuse; on the ``orbit-spnerf`` benchmark workload each unique vertex serves
+2.28 corner lookups (``core.decode.reuse_ratio``).  Because decoding is a
+pure per-vertex function, the scattered results are bit-identical to the
+non-deduplicated path.
 
 The decoder also keeps :class:`DecodeStats`, which both the quality analysis
 (collision/masking rates) and the hardware model (lookup counts, buffer
-traffic) consume.  All counters remain *logical* (per requested position,
+traffic) consume.  All counters remain *logical* (per requested vertex,
 exactly as without deduplication); the physical fetch count is reported
 separately as ``num_unique_lookups``.
 """
@@ -36,35 +40,19 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.addressing import EMPTY_ENTRY
-from repro.core.hash_mapping import assign_subgrids, spatial_hash
+from repro.core.hash_mapping import hash_coordinates, subgrid_of_x
 from repro.core.preprocessing import SpNeRFModel
+from repro.grid.interpolation import linear_vertex_ids
 
-__all__ = ["DecodeStats", "OnlineDecoder", "pack_vertex_keys"]
-
-#: Coordinate bias/width for packed-int64 vertex keys: each axis must fit in
-#: [-2^20, 2^20) so three axes pack into 63 bits without collision.
-_KEY_BIAS = 1 << 20
-_KEY_WIDTH = 1 << 21
+__all__ = ["DecodeStats", "OnlineDecoder"]
 
 #: Grids up to this many vertices (256^3 = 80 MB of scratch) dedup through a
 #: dense slot table — three linear passes instead of an O(M log M) sort.
 _DENSE_DEDUP_LIMIT = 1 << 24
 
-
-def pack_vertex_keys(positions: np.ndarray) -> Optional[np.ndarray]:
-    """Pack ``(M, 3)`` int64 vertex coordinates into unique scalar keys.
-
-    Sorting / uniquing one int64 column is considerably faster than
-    ``np.unique(..., axis=0)`` on row triples.  Returns ``None`` when a
-    coordinate falls outside the packable range (callers then fall back to
-    row-wise uniquing); grid vertices are always in range.
-    """
-    if positions.size and (
-        positions.min() < -_KEY_BIAS or positions.max() >= _KEY_BIAS
-    ):
-        return None
-    shifted = positions + _KEY_BIAS
-    return (shifted[:, 0] * _KEY_WIDTH + shifted[:, 1]) * _KEY_WIDTH + shifted[:, 2]
+#: Decode outcome of a vertex; exactly one per vertex, counted into
+#: :class:`DecodeStats`.
+_EMPTY_SLOT, _MASKED, _CODEBOOK, _TRUE_GRID = range(4)
 
 
 @dataclass
@@ -122,7 +110,7 @@ class OnlineDecoder:
         Override of the config's masking switch (None = follow the config);
         the Fig. 6(b) "before bitmap masking" series sets this to False.
     deduplicate:
-        Enable the vertex-reuse cache (decode each unique position once and
+        Enable the vertex-reuse cache (decode each unique vertex once and
         scatter).  Output and logical stats are bit-identical either way;
         disabling it only exists for benchmarking the un-cached path.
     """
@@ -139,170 +127,143 @@ class OnlineDecoder:
         return bool(self.use_bitmap_masking)
 
     # ------------------------------------------------------------------
-    def _dedup_dense(
-        self, positions: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Dedup in-grid positions through a dense per-vertex slot table.
-
-        Marks each touched linear vertex index in a reusable boolean table,
-        enumerates the touched set, and reads the inverse mapping back through
-        an int32 slot table — three linear passes, no sort.  Returns ``None``
-        when a position is outside the grid or the grid is too large for the
-        scratch tables (callers fall back to sort-based uniquing).
-        """
+    def _vertex_ids(self, vertices: np.ndarray) -> np.ndarray:
+        """Range-checked ``(M,)`` linear ids of ``(M,)`` ids or ``(M, 3)`` positions."""
         r = self.model.spec.resolution
-        if r**3 > _DENSE_DEDUP_LIMIT:
-            return None
-        if positions.min() < 0 or positions.max() >= r:
-            return None
-        linear = (positions[:, 0] * r + positions[:, 1]) * r + positions[:, 2]
+        v = np.asarray(vertices)
+        if v.ndim == 2 and v.shape[1] == 3:
+            v = v.astype(np.int64, copy=False)
+            if v.size and (v.min() < 0 or v.max() >= r):
+                raise ValueError(f"vertex positions outside the {r}^3 grid")
+            return linear_vertex_ids(v, r)
+        if v.ndim != 1:
+            raise ValueError("vertices must be (M,) linear ids or (M, 3) positions")
+        ids = v.astype(np.int64, copy=False)
+        if ids.size and (ids.min() < 0 or ids.max() >= r**3):
+            raise ValueError(f"vertex ids outside the {r}^3 grid")
+        return ids
+
+    def _dedup(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(unique ids, inverse)`` of in-grid ids, ascending.
+
+        Grids up to :data:`_DENSE_DEDUP_LIMIT` vertices mark each touched id
+        in a reusable boolean table, enumerate the touched set, and read the
+        inverse mapping back through an int32 slot table — three linear
+        passes, no sort.  Larger grids sort with ``np.unique``.
+        """
+        num_vertices = self.model.spec.resolution ** 3
+        if num_vertices > _DENSE_DEDUP_LIMIT:
+            return np.unique(ids, return_inverse=True)
         marks = getattr(self, "_dedup_marks", None)
         if marks is None:
-            marks = np.zeros(r**3, dtype=bool)
+            marks = np.zeros(num_vertices, dtype=bool)
             self._dedup_marks = marks
-            self._dedup_slots = np.zeros(r**3, dtype=np.int32)
+            self._dedup_slots = np.zeros(num_vertices, dtype=np.int32)
         slots = self._dedup_slots
-        marks[linear] = True
-        unique_linear = np.flatnonzero(marks)
-        marks[unique_linear] = False  # leave the table clean for the next call
-        slots[unique_linear] = np.arange(unique_linear.size, dtype=np.int32)
-        inverse = slots[linear]
-        unique_positions = np.empty((unique_linear.size, 3), dtype=np.int64)
-        unique_positions[:, 0], rem = np.divmod(unique_linear, r * r)
-        unique_positions[:, 1], unique_positions[:, 2] = np.divmod(rem, r)
-        return unique_positions, inverse
+        marks[ids] = True
+        unique = np.flatnonzero(marks)
+        marks[unique] = False  # leave the table clean for the next call
+        slots[unique] = np.arange(unique.size, dtype=np.int32)
+        return unique, np.take(slots, ids)
 
     # ------------------------------------------------------------------
-    def decode_vertices(self, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode density and color features for integer vertex positions.
+    def decode_vertices(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode density and color features of voxel-grid vertices.
 
         Parameters
         ----------
-        positions:
-            ``(M, 3)`` integer vertex coordinates (may include empty vertices;
-            that is the whole point of the bitmap).
+        vertices:
+            ``(M,)`` int64 linear vertex ids ``(x * R + y) * R + z`` (what the
+            render kernel passes), or ``(M, 3)`` integer vertex positions,
+            which are linearised first.  They may include empty vertices;
+            that is the whole point of the bitmap.
 
         Returns
         -------
         (density, features):
             ``(M,)`` float32 densities and ``(M, feature_dim)`` float32
             features; zeros for vertices decoded as empty.
+
+        Raises
+        ------
+        ValueError
+            For any other shape, or a vertex outside the grid.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ValueError("positions must have shape (M, 3)")
-        m = positions.shape[0]
-        if m == 0:
-            self.stats.merge(DecodeStats())
-            return (
-                np.zeros(0, dtype=np.float32),
-                np.zeros((0, self.model.feature_dim), dtype=np.float32),
-            )
-
-        inverse: Optional[np.ndarray] = None
-        unique_positions = positions
+        ids = self._vertex_ids(vertices)
+        m = ids.size
+        unique, inverse = ids, None
         if self.deduplicate and m > 1:
-            deduped = self._dedup_dense(positions)
-            if deduped is not None:
-                unique_positions, inverse = deduped
-            else:
-                keys = pack_vertex_keys(positions)
-                if keys is not None:
-                    _, first, inverse = np.unique(
-                        keys, return_index=True, return_inverse=True
-                    )
-                    unique_positions = positions[first]
-                else:
-                    unique_positions, inverse = np.unique(
-                        positions, axis=0, return_inverse=True
-                    )
-                    inverse = inverse.reshape(-1)  # numpy 2.0 returns (M, 1) here
-            if unique_positions.shape[0] == m:
+            unique, inverse = self._dedup(ids)
+            if unique.size == m:
                 # Nothing shared; skip the scatter entirely.
-                inverse = None
-                unique_positions = positions
+                unique, inverse = ids, None
 
-        density, features, empty_slot, masked, codebook_hit, true_grid_hit = (
-            self._decode_unique(unique_positions)
-        )
-        if inverse is None:
-
-            def logical(flags: np.ndarray) -> int:
-                return int(np.count_nonzero(flags))
-
-        else:
-            density = density[inverse]
-            features = features[inverse]
-            # Logical counters must match the non-deduplicated path exactly:
-            # weight each unique vertex's flag by how many positions mapped
-            # onto it (cheaper than scattering the flag arrays).
-            counts = np.bincount(inverse, minlength=unique_positions.shape[0])
-
-            def logical(flags: np.ndarray) -> int:
-                return int(counts[flags].sum())
-
+        density, features, outcome = self._decode_unique(unique)
+        if inverse is not None:
+            density = np.take(density, inverse)
+            features = np.take(features, inverse, axis=0)
+            # Logical counters match the non-deduplicated path exactly: each
+            # requested vertex counts its unique vertex's outcome.
+            outcome = np.take(outcome, inverse)
+        counts = np.bincount(outcome, minlength=4)
         self.stats.merge(
             DecodeStats(
                 num_lookups=m,
-                num_unique_lookups=int(unique_positions.shape[0]),
-                num_empty_slots=logical(empty_slot),
-                num_masked_by_bitmap=logical(masked),
-                num_codebook_hits=logical(codebook_hit),
-                num_true_grid_hits=logical(true_grid_hit),
+                num_unique_lookups=int(unique.size),
+                num_empty_slots=int(counts[_EMPTY_SLOT]),
+                num_masked_by_bitmap=int(counts[_MASKED]),
+                num_codebook_hits=int(counts[_CODEBOOK]),
+                num_true_grid_hits=int(counts[_TRUE_GRID]),
             )
         )
         return density, features
 
     # ------------------------------------------------------------------
     def _decode_unique(
-        self, positions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Hash/bitmap/codebook decode of (already unique) positions.
+        self, ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hash/bitmap/codebook decode of (already unique) in-grid vertex ids.
 
-        Returns per-position values plus the boolean flags the stats are
-        computed from: (density, features, empty_slot, masked_by_bitmap,
-        codebook_hit, true_grid_hit).
+        Returns per-vertex ``(density, features, outcome)``; ``outcome`` is
+        the int8 decode outcome the stats are counted from (``_EMPTY_SLOT``,
+        ``_MASKED``, ``_CODEBOOK`` or ``_TRUE_GRID``).
         """
-        m = positions.shape[0]
-        cfg = self.model.config
-        feature_dim = self.model.feature_dim
+        model = self.model
+        tables = model.hash_tables
+        r = model.spec.resolution
+        u = ids.size
 
-        density = np.zeros(m, dtype=np.float32)
-        features = np.zeros((m, feature_dim), dtype=np.float32)
+        x, rem = np.divmod(ids, r * r)
+        y, z = np.divmod(rem, r)
+        slots = subgrid_of_x(x, r, tables.num_subgrids) * tables.table_size
+        slots += hash_coordinates(
+            x.view(np.uint64), y.view(np.uint64), z.view(np.uint64), tables.table_size
+        ).view(np.int64)
+        index, table_density = tables.read(slots)
 
-        subgrids = assign_subgrids(positions, self.model.spec.resolution, cfg.num_subgrids)
-        hashes = spatial_hash(positions, cfg.hash_table_size).astype(np.int64)
-        indices, table_density = self.model.hash_tables.lookup(subgrids, hashes)
-
-        valid = indices != EMPTY_ENTRY
-        empty_slot = ~valid
-
-        masked = np.zeros(m, dtype=bool)
+        valid = index != EMPTY_ENTRY
+        outcome = np.full(u, _EMPTY_SLOT, dtype=np.int8)
         if self.masking_enabled:
-            occupied = self.model.bitmap.lookup(positions)
+            occupied = model.bitmap.lookup_ids(ids)
             # Entries that the hash table would have returned but the bitmap
             # vetoes: these are exactly the collision errors being repaired.
-            masked = valid & ~occupied
-            valid = valid & occupied
+            outcome[valid & ~occupied] = _MASKED
+            valid &= occupied
 
-        is_codebook = np.zeros(m, dtype=bool)
-        local = np.zeros(m, dtype=np.int64)
-        if np.any(valid):
-            is_cb, loc = self.model.address_space.decode(indices[valid])
-            is_codebook[valid] = is_cb
-            local[valid] = loc
-
-            cb_mask = valid & is_codebook
-            tg_mask = valid & ~is_codebook
-            if np.any(cb_mask):
-                features[cb_mask] = self.model.codebook[local[cb_mask]]
-            if np.any(tg_mask):
-                rows = local[tg_mask]
-                int8_rows = self.model.true_features.values[rows].astype(np.float32)
-                features[tg_mask] = int8_rows * np.float32(self.model.true_features.scale)
-            density[valid] = table_density[valid]
-
-        return density, features, empty_slot, masked, valid & is_codebook, valid & ~is_codebook
+        density = np.zeros(u, dtype=np.float32)
+        features = np.zeros((u, model.feature_dim), dtype=np.float32)
+        rows = np.flatnonzero(valid)
+        if rows.size:
+            is_codebook, local = model.address_space.decode(np.take(index, rows))
+            outcome[rows] = np.where(is_codebook, _CODEBOOK, _TRUE_GRID)
+            features[rows[is_codebook]] = np.take(model.codebook, local[is_codebook], axis=0)
+            true_grid = model.true_features
+            int8_rows = np.take(true_grid.values, local[~is_codebook], axis=0)
+            features[rows[~is_codebook]] = int8_rows.astype(np.float32) * np.float32(
+                true_grid.scale
+            )
+            density[rows] = np.take(table_density, rows)
+        return density, features, outcome
 
     # ------------------------------------------------------------------
     def decode_error_report(self, reference) -> dict:
@@ -320,7 +281,7 @@ class OnlineDecoder:
         a random sample of empty vertices — the quantity Fig. 6(b)'s masking
         study is about.
         """
-        positions = reference.positions.astype(np.int64)
+        positions = reference.positions
         density, features = self.decode_vertices(positions)
         ref_density, ref_features = reference.density, reference.features
         density_err = float(np.mean(np.abs(density - ref_density)))

@@ -25,8 +25,10 @@ from repro.core.addressing import EMPTY_ENTRY
 __all__ = [
     "HASH_PRIMES",
     "spatial_hash",
+    "hash_coordinates",
     "subgrid_width",
     "assign_subgrids",
+    "subgrid_of_x",
     "SubgridHashTables",
     "build_hash_tables",
 ]
@@ -54,9 +56,19 @@ def spatial_hash(positions: np.ndarray, table_size: int) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.uint64)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
+    return hash_coordinates(pos[:, 0], pos[:, 1], pos[:, 2], table_size)
+
+
+def hash_coordinates(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, table_size: int
+) -> np.ndarray:
+    """Eq. (1) on ``(N,)`` uint64 coordinate columns: uint64 hashes in ``[0, T)``."""
     pi1, pi2, pi3 = (np.uint64(p) for p in HASH_PRIMES)
-    mixed = (pos[:, 0] * pi1) ^ (pos[:, 1] * pi2) ^ (pos[:, 2] * pi3)
-    return mixed % np.uint64(table_size)
+    mixed = x * pi1
+    mixed ^= y * pi2
+    mixed ^= z * pi3
+    mixed %= np.uint64(table_size)
+    return mixed
 
 
 def subgrid_width(resolution: int, num_subgrids: int) -> int:
@@ -74,10 +86,13 @@ def assign_subgrids(
     positions: np.ndarray, resolution: int, num_subgrids: int
 ) -> np.ndarray:
     """Subgrid id ``floor(x / w)`` for each position, clipped to ``K - 1``."""
-    pos = np.asarray(positions)
+    return subgrid_of_x(np.asarray(positions)[..., 0], resolution, num_subgrids)
+
+
+def subgrid_of_x(x: np.ndarray, resolution: int, num_subgrids: int) -> np.ndarray:
+    """Subgrid id ``floor(x / w)`` of x coordinates, clipped to ``K - 1`` (int64)."""
     width = subgrid_width(resolution, num_subgrids)
-    ids = pos[..., 0] // width
-    return np.clip(ids, 0, num_subgrids - 1).astype(np.int64)
+    return np.clip(x // width, 0, num_subgrids - 1).astype(np.int64)
 
 
 @dataclass
@@ -139,7 +154,16 @@ class SubgridHashTables:
         """Fetch (storage index, density) for hashed vertex queries."""
         sub = np.asarray(subgrid_ids, dtype=np.int64)
         hsh = np.asarray(hash_indices, dtype=np.int64)
-        return self.indices[sub, hsh], self.densities[sub, hsh]
+        if hsh.size and (hsh.min() < 0 or hsh.max() >= self.table_size):
+            raise ValueError("hash index outside the table")
+        return self.read(sub * self.table_size + hsh)
+
+    def read(self, slots: np.ndarray):
+        """(storage index, density) at flat slots ``subgrid * T + hash``."""
+        return (
+            np.take(self.indices.reshape(-1), slots),
+            np.take(self.densities.reshape(-1), slots),
+        )
 
 
 def build_hash_tables(

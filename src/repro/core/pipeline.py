@@ -93,8 +93,8 @@ class SpNeRFField(GridField):
     def spec(self) -> GridSpec:
         return self.model.spec
 
-    def fetch_vertices(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.decoder.decode_vertices(vertices)
+    def fetch_vertices(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.decoder.decode_vertices(ids)
 
     def cull_index(self):
         """The shared occupancy index while the empty-cell cull is sound and on."""

@@ -18,7 +18,9 @@ low-dimensional *color feature* per vertex.  This subpackage provides:
 
 from repro.grid.interpolation import (
     corner_offsets,
+    linear_vertex_ids,
     trilinear_interpolate,
+    trilinear_interpolate_ids,
     trilinear_interpolate_multi,
     trilinear_vertices_and_weights,
 )
@@ -56,7 +58,9 @@ __all__ = [
     "encode_csc",
     "sparse_encoding_report",
     "corner_offsets",
+    "linear_vertex_ids",
     "trilinear_interpolate",
+    "trilinear_interpolate_ids",
     "trilinear_interpolate_multi",
     "trilinear_vertices_and_weights",
     "QuantizedTensor",

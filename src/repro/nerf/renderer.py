@@ -46,7 +46,7 @@ from typing import Callable, Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.grid.interpolation import trilinear_interpolate_multi
+from repro.grid.interpolation import trilinear_interpolate_ids
 from repro.grid.voxel_grid import GridSpec, VoxelGrid
 from repro.nerf.encoding import positional_encoding
 from repro.nerf.occupancy import OccupancyIndex, build_occupancy_index
@@ -64,7 +64,8 @@ __all__ = [
     "shade_grid_samples",
 ]
 
-#: Maps ``(M, 3)`` int64 vertex coordinates to ``(density (M,), features (M, C))``.
+#: Maps ``(M,)`` int64 linear vertex ids ``(x * R + y) * R + z`` to
+#: ``(density (M,), features (M, C))``.
 VertexFetch = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
@@ -179,9 +180,10 @@ def shade_grid_samples(
 
     ``grid_coords`` are ``(K, 3)`` continuous grid coordinates the caller
     has already bounds-checked (and, if it culls, culled).  The eight corners
-    of each sample come from ``fetch`` and are interpolated in one fused
-    pass.  Samples whose density and features are all zero skip the MLP —
-    the sparsity every voxel NeRF renderer, and the accelerator, exploits.
+    of each sample are named by linear vertex id, come from ``fetch`` in one
+    call and are interpolated in one fused pass.  Samples whose density and
+    features are all zero skip the MLP — the sparsity every voxel NeRF
+    renderer, and the accelerator, exploits.
     ``encoded`` holds view-direction encodings; sample ``i`` uses row
     ``rows[i]`` (row ``i`` when ``rows`` is omitted).
 
@@ -191,7 +193,7 @@ def shade_grid_samples(
     rgb = np.zeros((k, 3), dtype=np.float64)
     if k == 0:
         return np.zeros(0, dtype=np.float64), rgb, 0
-    density, features = trilinear_interpolate_multi(grid_coords, fetch, resolution)
+    density, features = trilinear_interpolate_ids(grid_coords, fetch, resolution)
     active = np.flatnonzero((density > 0.0) | np.any(features != 0.0, axis=-1))
     if active.size:
         view = np.take(encoded, active if rows is None else rows[active], axis=0)
@@ -219,8 +221,8 @@ class GridField:
         self.num_view_frequencies = num_view_frequencies
         self.last_stats = RenderStats()
 
-    def fetch_vertices(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Density and features of ``(M, 3)`` int64 grid vertices."""
+    def fetch_vertices(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Density and features of ``(M,)`` int64 linear vertex ids."""
         raise NotImplementedError
 
     def cull_index(self) -> Optional[OccupancyIndex]:
@@ -332,9 +334,12 @@ class DenseGridField(GridField):
     def spec(self) -> GridSpec:
         return self.grid.spec
 
-    def fetch_vertices(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        x, y, z = vertices[:, 0], vertices[:, 1], vertices[:, 2]
-        return self.grid.density[x, y, z], self.grid.features[x, y, z]
+    def fetch_vertices(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        grid = self.grid
+        return (
+            np.take(grid.density.reshape(-1), ids),
+            np.take(grid.features.reshape(-1, grid.feature_dim), ids, axis=0),
+        )
 
     # ------------------------------------------------------------------
     def occupancy_grid(self):

@@ -1,13 +1,19 @@
-"""Render hot-path optimisations: decode cache, cull, early termination.
+"""Render hot-path optimisations: decode cache, cull, id-space decode, early termination.
 
-The contract under test: the vertex-reuse decode cache and the empty-cell
-cull are pure optimisations — images must be *bit-identical* with them on or
-off — while early ray termination is an opt-in approximation bounded by its
-transmittance threshold.
+The contract under test: the vertex-reuse decode cache, the empty-cell cull
+and the linear-vertex-id decode are pure optimisations — images must be
+*bit-identical* with them on or off, and the id-space decoder must equal a
+literal per-vertex decode — while early ray termination is an opt-in
+approximation bounded by its transmittance threshold.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.api import (
     PipelineConfig,
@@ -17,8 +23,12 @@ from repro.api import (
     build_field,
     field_from_bundle,
 )
-from repro.core.decoding import OnlineDecoder, pack_vertex_keys
-from repro.nerf.renderer import RenderConfig, RenderStats
+from repro.core import decoding
+from repro.core.addressing import EMPTY_ENTRY
+from repro.core.decoding import DecodeStats, OnlineDecoder
+from repro.core.hash_mapping import assign_subgrids, spatial_hash
+from repro.grid.interpolation import linear_vertex_ids, trilinear_vertices_and_weights
+from repro.nerf.renderer import RenderConfig, RenderStats, shade_grid_samples
 
 #: Mirrors tests/conftest.py's TEST_CONFIG (import-free so the module works
 #: under any pytest rootdir layout).
@@ -117,12 +127,133 @@ class TestReuseCounters:
         assert total.vertex_reuse_ratio == pytest.approx(4.0)
         assert RenderStats().vertex_reuse_ratio == 1.0
 
-    def test_pack_vertex_keys_unique_and_range_guard(self, rng):
-        positions = rng.integers(-50, 50, size=(500, 3)).astype(np.int64)
-        keys = pack_vertex_keys(positions)
-        unique_rows = np.unique(positions, axis=0).shape[0]
-        assert np.unique(keys).shape[0] == unique_rows
-        assert pack_vertex_keys(np.array([[0, 0, 1 << 21]], dtype=np.int64)) is None
+
+def _reference_decode(model, positions, masking):
+    """Literal per-vertex decode: Eq. (1) hash -> table -> bitmap -> address decode."""
+    cfg, r = model.config, model.spec.resolution
+    m = positions.shape[0]
+    density = np.zeros(m, dtype=np.float32)
+    features = np.zeros((m, model.feature_dim), dtype=np.float32)
+    stats = DecodeStats(num_lookups=m)
+    occupancy = model.bitmap.to_dense()
+    for i, p in enumerate(positions[:, None, :]):
+        subgrid = assign_subgrids(p, r, cfg.num_subgrids)
+        slot = spatial_hash(p, cfg.hash_table_size)
+        index, entry_density = model.hash_tables.lookup(subgrid, slot)
+        # The public reads agree with plain 2-D / 3-D indexing of the tables.
+        assert index[0] == model.hash_tables.indices[subgrid[0], slot[0]]
+        occupied = model.bitmap.lookup(p)[0]
+        assert occupied == occupancy[tuple(p[0])]
+        if index[0] == EMPTY_ENTRY:
+            stats.num_empty_slots += 1
+            continue
+        if masking and not occupied:
+            stats.num_masked_by_bitmap += 1
+            continue
+        is_codebook, local = model.address_space.decode(index)
+        if is_codebook[0]:
+            stats.num_codebook_hits += 1
+            features[i] = model.codebook[local[0]]
+        else:
+            stats.num_true_grid_hits += 1
+            row = model.true_features.values[local[0]].astype(np.float32)
+            features[i] = row * np.float32(model.true_features.scale)
+        density[i] = entry_density[0]
+    return density, features, stats
+
+
+def _grid_vertices(resolution, stored):
+    """Vertices anywhere in the grid, on its faces and corners, or stored ones."""
+    coord = st.integers(0, resolution - 1)
+    edge = st.sampled_from([0, resolution - 1])
+    face = st.tuples(edge, coord, coord).flatmap(st.permutations).map(tuple)
+    return st.one_of(
+        st.tuples(coord, coord, coord),
+        face,
+        st.tuples(edge, edge, edge),
+        st.sampled_from(stored),
+    )
+
+
+class TestVertexIdDecode:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        masking=st.booleans(),
+        dedup=st.booleans(),
+        sort_fallback=st.booleans(),
+        as_ids=st.booleans(),
+    )
+    def test_decode_matches_per_vertex_reference(
+        self, spnerf_bundle, data, masking, dedup, sort_fallback, as_ids
+    ):
+        model = spnerf_bundle.spnerf_model
+        r = model.spec.resolution
+        stored = [tuple(p) for p in spnerf_bundle.vqrf_model.positions[:256].tolist()]
+        distinct = data.draw(st.lists(_grid_vertices(r, stored), min_size=1, max_size=40))
+        picks = data.draw(
+            st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=120)
+        )
+        positions = np.array([distinct[i] for i in picks], dtype=np.int64)
+        decoder = OnlineDecoder(model, use_bitmap_masking=masking, deduplicate=dedup)
+        limit = 0 if sort_fallback else decoding._DENSE_DEDUP_LIMIT
+        with mock.patch.object(decoding, "_DENSE_DEDUP_LIMIT", limit):
+            density, features = decoder.decode_vertices(
+                linear_vertex_ids(positions, r) if as_ids else positions
+            )
+        ref_density, ref_features, ref_stats = _reference_decode(model, positions, masking)
+        ref_stats.num_unique_lookups = (
+            np.unique(positions, axis=0).shape[0] if dedup else positions.shape[0]
+        )
+        assert density.dtype == np.float32 and features.dtype == np.float32
+        assert density.tobytes() == ref_density.tobytes()
+        assert features.tobytes() == ref_features.tobytes()
+        assert decoder.stats == ref_stats
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        resolution=st.integers(2, 24),
+        coords=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.just(3)),
+            elements=st.one_of(
+                st.floats(0.0, 23.0, allow_nan=False), st.integers(0, 23).map(float)
+            ),
+        ),
+    )
+    def test_kernel_corner_ids_are_the_linearised_lattice(
+        self, small_scene, resolution, coords
+    ):
+        coords = np.minimum(coords, resolution - 1.0)
+        fetched = []
+
+        def fetch(ids):
+            fetched.append(ids)
+            return np.zeros(ids.size, np.float32), np.zeros((ids.size, 12), np.float32)
+
+        encoded = np.zeros((coords.shape[0], 27))
+        shade_grid_samples(coords, fetch, resolution, small_scene.mlp, encoded)
+        vertices, _ = trilinear_vertices_and_weights(coords, resolution)
+        assert np.array_equal(fetched[0], linear_vertex_ids(vertices, resolution).reshape(-1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_out_of_grid_positions_raise(self, spnerf_bundle, data):
+        r = spnerf_bundle.spnerf_model.spec.resolution
+        coord = st.integers(0, r - 1)
+        good = data.draw(st.lists(st.tuples(coord, coord, coord), max_size=20))
+        bad = list(data.draw(st.tuples(coord, coord, coord)))
+        bad[data.draw(st.integers(0, 2))] = data.draw(
+            st.one_of(st.integers(-(1 << 20), -1), st.integers(r, 1 << 20))
+        )
+        positions = np.array(good + [tuple(bad)], dtype=np.int64)
+        positions = positions[data.draw(st.permutations(range(positions.shape[0])))]
+        decoder = OnlineDecoder(spnerf_bundle.spnerf_model)
+        with pytest.raises(ValueError, match="outside"):
+            decoder.decode_vertices(positions)
+        with pytest.raises(ValueError, match="outside"):
+            decoder.decode_vertices(np.array([-1, r**3]))
+        assert decoder.stats == DecodeStats()
 
 
 class TestEarlyTermination:

@@ -338,6 +338,13 @@ def test_torn_connection_reconnects_with_backoff(direct_frames):
                 view = server.poll(job)
                 assert view.state is JobState.DONE, view.error
                 assert server.result(job).image.tobytes() == direct_frames[key].tobytes()
+            # The surviving host can finish every job before the torn host's
+            # reconnect backoff ends.  Keep stepping the idle server, which
+            # runs the backend's supervision, until the reconnect lands.
+            deadline = time.monotonic() + 10.0
+            while server.stats().host_reconnects < 1 and time.monotonic() < deadline:
+                server.step()
+                time.sleep(0.01)
             stats = server.stats()
     assert stats.host_losses >= 1
     assert stats.host_reconnects >= 1
