@@ -5,17 +5,63 @@ VQRF compresses the mid-importance voxels' 12-channel color features into a
 quantizer here is a deterministic Lloyd's-algorithm k-means (k-means++ style
 seeding via distance-weighted sampling) built on numpy, so it runs identically
 everywhere without external dependencies.
+
+Seeding, every Lloyd assignment and :meth:`VectorQuantizer.encode` all go
+through one distance kernel, :func:`_nearest_centroids`.  It evaluates the
+quadratic expansion ``|x|^2 - 2 x.c + |c|^2`` in blocks of
+:data:`_BLOCK_ROWS` rows written into one preallocated scratch.  The block is
+small on purpose: a 32 x 4096 float64 scratch is 1 MB and stays in cache, so
+the k-means spends its time computing instead of faulting in fresh pages and
+streaming multi-hundred-megabyte temporaries through DRAM.  Larger scratches
+are slower, and from a few MB on they can also raise the process's peak RSS:
+glibc's dynamic mmap threshold then keeps freed blocks of that size resident
+in the heap.  The kernel reproduces the bits of the unblocked expression
+exactly, so codebooks do not depend on the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 __all__ = ["VectorQuantizer", "build_codebook"]
 
 DEFAULT_CODEBOOK_SIZE = 4096
+
+#: Rows per distance block: 32 x 4096 centroids x 8 bytes = a 1 MB scratch.
+_BLOCK_ROWS = 32
+
+
+def _nearest_centroids(
+    vectors: np.ndarray, centroids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Index of and squared distance to each vector's nearest centroid.
+
+    Both inputs must share one float dtype; the arithmetic runs in it.  The
+    distance is the quadratic expansion ``|x|^2 - (2x).c + |c|^2``, bit for
+    bit: scaling by two is exact, so it is folded into the centroids once.
+    Ties go to the lowest centroid index.  Returns ``(int64 indices,
+    distances)``, each of length ``N``.
+    """
+    n = vectors.shape[0]
+    index = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=vectors.dtype)
+    x_sq = np.sum(vectors ** 2, axis=1)
+    c_sq = np.sum(centroids ** 2, axis=1)
+    twice_t = (2 * centroids).T
+    scratch = np.empty((min(_BLOCK_ROWS, n), centroids.shape[0]), dtype=vectors.dtype)
+    rows = np.arange(scratch.shape[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block = scratch[: stop - start]
+        np.matmul(vectors[start:stop], twice_t, out=block)
+        np.subtract(x_sq[start:stop, None], block, out=block)
+        block += c_sq
+        block.argmin(axis=1, out=index[start:stop])
+        dist[start:stop] = block[rows[: stop - start], index[start:stop]]
+    return index, dist
 
 
 @dataclass
@@ -43,22 +89,15 @@ class VectorQuantizer:
     def dim(self) -> int:
         return int(self.codebook.shape[1])
 
-    def encode(self, vectors: np.ndarray, chunk_size: int = 16384) -> np.ndarray:
+    def encode(self, vectors: np.ndarray) -> np.ndarray:
         """Map each vector to the index of its nearest centroid."""
         vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.size == 0:
-            return np.zeros(0, dtype=np.int32)
-        indices = np.empty(vectors.shape[0], dtype=np.int32)
-        cb_sq = np.sum(self.codebook ** 2, axis=1)
-        for start in range(0, vectors.shape[0], chunk_size):
-            chunk = vectors[start : start + chunk_size]
-            dists = (
-                np.sum(chunk ** 2, axis=1)[:, None]
-                - 2.0 * chunk @ self.codebook.T
-                + cb_sq[None, :]
+        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
+            raise ValueError(
+                f"vectors must have shape (N, {self.dim}) to match the codebook, "
+                f"got {vectors.shape}"
             )
-            indices[start : start + chunk.shape[0]] = np.argmin(dists, axis=1)
-        return indices
+        return _nearest_centroids(vectors, self.codebook)[0].astype(np.int32)
 
     def decode(self, indices: np.ndarray) -> np.ndarray:
         """Recover the centroid vector for each index."""
@@ -109,33 +148,12 @@ def _kmeans_plus_plus_init(
         choices = rng.choice(n, size=count, p=probs, replace=True)
         new_centroids = vectors[choices]
         centroids[seeded : seeded + count] = new_centroids
-        dist = (
-            np.sum(vectors ** 2, axis=1)[:, None]
-            - 2.0 * vectors @ new_centroids.T
-            + np.sum(new_centroids ** 2, axis=1)[None, :]
-        )
         # The quadratic expansion can go slightly negative through rounding;
         # clamp so the sampling probabilities stay valid.
-        closest_sq = np.minimum(closest_sq, np.maximum(dist.min(axis=1), 0.0))
+        dist = _nearest_centroids(vectors, new_centroids)[1]
+        closest_sq = np.minimum(closest_sq, np.maximum(dist, 0.0))
         seeded += count
     return centroids
-
-
-def _assign_to_centroids(
-    vectors: np.ndarray, centroids: np.ndarray, chunk_size: int = 8192
-) -> np.ndarray:
-    """Nearest-centroid assignment, chunked to bound the distance matrix size."""
-    assignment = np.empty(vectors.shape[0], dtype=np.int64)
-    cb_sq = np.sum(centroids ** 2, axis=1)
-    for start in range(0, vectors.shape[0], chunk_size):
-        chunk = vectors[start : start + chunk_size]
-        dists = (
-            np.sum(chunk ** 2, axis=1)[:, None]
-            - 2.0 * chunk @ centroids.T
-            + cb_sq[None, :]
-        )
-        assignment[start : start + chunk.shape[0]] = np.argmin(dists, axis=1)
-    return assignment
 
 
 def build_codebook(
@@ -152,10 +170,12 @@ def build_codebook(
     vectors:
         ``(N, D)`` training vectors (the mid-importance voxel features).
     num_entries:
-        Codebook size ``K`` (4096 in the paper).  Automatically reduced when
-        fewer than ``K`` distinct vectors are available.
+        Codebook size ``K`` (4096 in the paper), at least 1.  With fewer
+        than ``K`` training vectors the k-means runs on that many clusters
+        and the codebook is padded to ``K`` rows (all zeros when there are
+        no vectors at all).
     num_iterations:
-        Lloyd iterations after seeding.
+        Lloyd iterations after seeding (0 keeps the seeded centroids).
     seed:
         Seed for deterministic seeding/assignment.
     sample_limit:
@@ -165,11 +185,17 @@ def build_codebook(
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
         raise ValueError("vectors must be (N, D)")
+    if num_entries < 1:
+        raise ValueError(f"num_entries must be >= 1, got {num_entries}")
+    if num_iterations < 0:
+        raise ValueError(f"num_iterations must be >= 0, got {num_iterations}")
+    if sample_limit < 1:
+        raise ValueError(f"sample_limit must be >= 1, got {sample_limit}")
     rng = np.random.default_rng(seed)
 
     n = vectors.shape[0]
     if n == 0:
-        return VectorQuantizer(np.zeros((1, vectors.shape[1] or 1), dtype=np.float32))
+        return VectorQuantizer(np.zeros((num_entries, vectors.shape[1]), dtype=np.float32))
 
     train = vectors
     if n > sample_limit:
@@ -179,7 +205,7 @@ def build_codebook(
     centroids = _kmeans_plus_plus_init(train, k, rng)
 
     for _ in range(num_iterations):
-        assignment = _assign_to_centroids(train, centroids)
+        assignment = _nearest_centroids(train, centroids)[0]
         counts = np.bincount(assignment, minlength=k).astype(np.float64)
         sums = np.zeros((k, train.shape[1]), dtype=np.float64)
         np.add.at(sums, assignment, train)
