@@ -8,15 +8,56 @@ everywhere without external dependencies.
 
 Seeding, every Lloyd assignment and :meth:`VectorQuantizer.encode` all go
 through one distance kernel, :func:`_nearest_centroids`.  It evaluates the
-quadratic expansion ``|x|^2 - 2 x.c + |c|^2`` in blocks of
-:data:`_BLOCK_ROWS` rows written into one preallocated scratch.  The block is
-small on purpose: a 32 x 4096 float64 scratch is 1 MB and stays in cache, so
-the k-means spends its time computing instead of faulting in fresh pages and
-streaming multi-hundred-megabyte temporaries through DRAM.  Larger scratches
-are slower, and from a few MB on they can also raise the process's peak RSS:
+quadratic expansion ``|x|^2 - 2 x.c + |c|^2`` with one BLAS gemm per unit of
+:data:`_BLOCK_ROWS` rows, several units per ``np.matmul`` call on a
+``(units, 32, D)`` view, into one preallocated scratch of at most 1 MB.  A
+32 x 4096 float64 scratch stays in cache, so the k-means spends its time
+computing instead of faulting in fresh pages and streaming
+multi-hundred-megabyte temporaries through DRAM.  Larger scratches are
+slower, and from a few MB on they can also raise the process's peak RSS:
 glibc's dynamic mmap threshold then keeps freed blocks of that size resident
-in the heap.  The kernel reproduces the bits of the unblocked expression
-exactly, so codebooks do not depend on the block.
+in the heap.
+
+The Lloyd loop evaluates only what can change an assignment, and its
+codebook is still bit-identical to plain Lloyd iterations that evaluate every
+row against every centroid (a *full pass*):
+
+* **Values used exactly come from identical BLAS calls.**  A full pass cuts
+  its rows at multiples of 32 from row 0 and evaluates the ``n % 32`` tail on
+  its own; stacking units in one ``np.matmul`` call still makes one gemm per
+  unit with the same shapes and strides.  The shape matters.  On OpenBLAS a
+  1-row block or a 1-column right-hand side goes through gemv and rounds
+  differently from the same entries of a 32-row gemm block, even in float64
+  with D = 12 (about two thirds of the entries differed on random data); a
+  Fortran-ordered input does too.  So rows are never cut any
+  other way for a value used as is, and inputs are made C-contiguous.
+* **Every other decision carries a proven margin.**  Any evaluation order of
+  the expansion lies within ``(D + 4) eps / 2 (|x| + |c|)^2`` of the exact
+  squared distance.  ``margin = 64 (D + 4) eps (|x| + max|c|)^2`` is more
+  than four times that, so two evaluations in differently shaped calls can
+  be compared through it.  A centroid whose bits did not change keeps the
+  exact bits of every distance to it.  So a row whose own centroid did not
+  move keeps it unless a moved centroid, evaluated on ``centroids[moved]``
+  alone, comes within the margin of the row's distance.  Those rows, and the
+  rows whose centroid moved, are evaluated against every centroid, and the
+  argmin is accepted when the runner-up is more than the margin behind.
+* **Near ties go back to the full pass's own call.**  The row's 32-row unit
+  is evaluated again exactly as a full pass evaluates it, which settles the
+  tie (say, between duplicate seeded centroids) with that pass's bits, lowest
+  index first.
+
+A pass still evaluates every row when a quarter or more of the centroids
+moved.  Once no centroid changes bitwise the loop stops: the assignment, and
+with it every later iteration, would repeat exactly.  This is the bound-based
+line of exact k-means acceleration (Elkan, ICML 2003) with one bound per row.
+
+The pruning pays off for features near the origin.  The margin grows with
+``(|x| + max|c|)^2``, the distances it must separate with the features'
+spread, so far from the origin most rows fall inside it and are evaluated
+in full or recomputed by unit.  Lego 64³ features shifted by 1e5 build in
+1.16 s against 0.97 s with plain full passes (2-vCPU Xeon; same codebook).
+The served scenes' features have norms 0.77-3.52 and a median distance of
+1.3-1.8 from their mean (lego, chair, ship at 48³, lego at 64³).
 """
 
 from __future__ import annotations
@@ -30,38 +71,66 @@ __all__ = ["VectorQuantizer", "build_codebook"]
 
 DEFAULT_CODEBOOK_SIZE = 4096
 
-#: Rows per distance block: 32 x 4096 centroids x 8 bytes = a 1 MB scratch.
+#: Rows per gemm unit.  Every full pass splits its rows at multiples of 32
+#: from row 0 and makes one BLAS call per unit, the ``n % 32`` tail its own.
 _BLOCK_ROWS = 32
+#: Distance scratch: 32 rows x 4096 centroids x 8 bytes.  Several units share
+#: one ``np.matmul`` call when the centroids are fewer.
+_SCRATCH_BYTES = 1 << 20
+#: A Lloyd pass re-evaluates every row once this share of centroids moved.
+_FULL_PASS_FRACTION = 0.25
+
+
+def _check_finite(vectors: np.ndarray) -> None:
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"vectors must be finite; row {bad} holds NaN or inf")
 
 
 def _nearest_centroids(
-    vectors: np.ndarray, centroids: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+    vectors: np.ndarray, centroids: np.ndarray, runner_up: bool = False
+) -> Tuple[np.ndarray, ...]:
     """Index of and squared distance to each vector's nearest centroid.
 
-    Both inputs must share one float dtype; the arithmetic runs in it.  The
-    distance is the quadratic expansion ``|x|^2 - (2x).c + |c|^2``, bit for
-    bit: scaling by two is exact, so it is folded into the centroids once.
-    Ties go to the lowest centroid index.  Returns ``(int64 indices,
-    distances)``, each of length ``N``.
+    Both inputs must be C-contiguous and share one float dtype; the
+    arithmetic runs in it.  The distance is the quadratic expansion
+    ``|x|^2 - (2x).c + |c|^2``, bit for bit: scaling by two is exact, so it
+    is folded into the centroids once.  Ties in the computed distance go to
+    the lowest centroid index.  Returns ``(int64 indices, distances)``, each
+    of length ``N``, plus the second-smallest distance per row when
+    ``runner_up`` is set (``inf`` with one centroid).
     """
-    n = vectors.shape[0]
+    n, dim = vectors.shape
+    k = centroids.shape[0]
     index = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=vectors.dtype)
+    second = np.empty(n, dtype=vectors.dtype) if runner_up else None
     x_sq = np.sum(vectors ** 2, axis=1)
     c_sq = np.sum(centroids ** 2, axis=1)
     twice_t = (2 * centroids).T
-    scratch = np.empty((min(_BLOCK_ROWS, n), centroids.shape[0]), dtype=vectors.dtype)
-    rows = np.arange(scratch.shape[0])
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        block = scratch[: stop - start]
-        np.matmul(vectors[start:stop], twice_t, out=block)
+    batch = _BLOCK_ROWS * max(1, _SCRATCH_BYTES // (_BLOCK_ROWS * k * vectors.itemsize))
+    aligned = n - n % _BLOCK_ROWS
+    starts = list(range(0, aligned, batch)) + ([aligned] if aligned < n else [])
+    scratch = np.empty(min(batch, n) * k, dtype=vectors.dtype)
+    rows = np.arange(min(batch, n))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        count = stop - start
+        unit = min(_BLOCK_ROWS, count)
+        block = scratch[: count * k].reshape(count, k)
+        # (units, 32, D) @ (D, K): one gemm per 32-row unit, as if called alone.
+        np.matmul(
+            vectors[start:stop].reshape(-1, unit, dim), twice_t, out=block.reshape(-1, unit, k)
+        )
         np.subtract(x_sq[start:stop, None], block, out=block)
         block += c_sq
         block.argmin(axis=1, out=index[start:stop])
-        dist[start:stop] = block[rows[: stop - start], index[start:stop]]
-    return index, dist
+        best = (rows[:count], index[start:stop])
+        dist[start:stop] = block[best]
+        if runner_up:
+            block[best] = np.inf
+            block.min(axis=1, out=second[start:stop])
+    return (index, dist, second) if runner_up else (index, dist)
 
 
 @dataclass
@@ -77,7 +146,7 @@ class VectorQuantizer:
     codebook: np.ndarray
 
     def __post_init__(self) -> None:
-        self.codebook = np.asarray(self.codebook, dtype=np.float32)
+        self.codebook = np.ascontiguousarray(self.codebook, dtype=np.float32)
         if self.codebook.ndim != 2:
             raise ValueError("codebook must be 2-D (K, D)")
 
@@ -91,12 +160,13 @@ class VectorQuantizer:
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """Map each vector to the index of its nearest centroid."""
-        vectors = np.asarray(vectors, dtype=np.float32)
+        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(
                 f"vectors must have shape (N, {self.dim}) to match the codebook, "
                 f"got {vectors.shape}"
             )
+        _check_finite(vectors)
         return _nearest_centroids(vectors, self.codebook)[0].astype(np.int32)
 
     def decode(self, indices: np.ndarray) -> np.ndarray:
@@ -156,6 +226,82 @@ def _kmeans_plus_plus_init(
     return centroids
 
 
+def _rows_in_chunks(rows: np.ndarray, dim: int):
+    """Split row ids so each gathered ``(rows, dim)`` float64 copy is <= 1 MB."""
+    step = max(1, _SCRATCH_BYTES // (8 * dim))
+    return (rows[i : i + step] for i in range(0, rows.size, step))
+
+
+def _reassign(
+    train: np.ndarray,
+    centroids: np.ndarray,
+    moved: np.ndarray,
+    assignment: np.ndarray,
+    dist: np.ndarray,
+    margin: np.ndarray,
+) -> None:
+    """Update ``assignment`` in place to what a full pass would return.
+
+    ``assignment`` must be a full pass's result for the centroids before the
+    ``moved`` rows of ``centroids`` changed.  ``dist`` holds each row's
+    distance to its centroid in any evaluation order and is updated too;
+    ``margin`` is the per-row margin of the module docstring.
+    """
+    n, dim = train.shape
+    full = moved[assignment]
+    moved_centroids = centroids[moved]
+    for rows in _rows_in_chunks(np.flatnonzero(~full), dim):
+        # The row's own centroid and every other unmoved one kept their
+        # distances bit for bit; only a moved centroid can now win.
+        nearest_moved = _nearest_centroids(train[rows], moved_centroids)[1]
+        full[rows[nearest_moved <= dist[rows] + margin[rows]]] = True
+    near_tie = np.zeros(n, dtype=bool)
+    for rows in _rows_in_chunks(np.flatnonzero(full), dim):
+        index, best, second = _nearest_centroids(train[rows], centroids, runner_up=True)
+        assignment[rows] = index
+        dist[rows] = best
+        near_tie[rows[second - best <= margin[rows]]] = True
+    # A near tie is decided by the full pass's own BLAS call on the row's
+    # 32-row unit, which returns that pass's bits.
+    for unit in np.unique(np.flatnonzero(near_tie) // _BLOCK_ROWS):
+        start = int(unit) * _BLOCK_ROWS
+        stop = min(start + _BLOCK_ROWS, n)
+        assignment[start:stop], dist[start:stop] = _nearest_centroids(train[start:stop], centroids)
+
+
+def _lloyd(train: np.ndarray, centroids: np.ndarray, num_iterations: int) -> np.ndarray:
+    """Up to ``num_iterations`` Lloyd iterations from the seeded ``centroids``.
+
+    Each iteration's assignment equals a full pass of
+    :func:`_nearest_centroids` over every row; see the module docstring for
+    why the incremental pass returns exactly that.
+    """
+    k, dim = centroids.shape
+    x_norm = np.sqrt(np.sum(train ** 2, axis=1))
+    # margin = scale * (|x| + max|c|)^2: 32x the four rounding bounds a
+    # comparison of two evaluations must clear (see the module docstring).
+    scale = 64 * (dim + 4) * np.finfo(np.float64).eps
+    moved = np.ones(k, dtype=bool)
+    assignment = dist = None
+    for _ in range(num_iterations):
+        if not moved.any():
+            break  # A fixed point: every later iteration would repeat this one.
+        if assignment is None or moved.sum() >= _FULL_PASS_FRACTION * k:
+            assignment, dist = _nearest_centroids(train, centroids)
+        else:
+            c_norm = np.sqrt(np.max(np.sum(centroids ** 2, axis=1)))
+            _reassign(train, centroids, moved, assignment, dist, scale * (x_norm + c_norm) ** 2)
+        counts = np.bincount(assignment, minlength=k).astype(np.float64)
+        sums = np.zeros((k, dim), dtype=np.float64)
+        np.add.at(sums, assignment, train)
+        nonempty = counts > 0
+        updated = centroids.copy()
+        updated[nonempty] = sums[nonempty] / counts[nonempty, None]
+        moved = np.any(updated.view(np.int64) != centroids.view(np.int64), axis=1)
+        centroids = updated
+    return centroids
+
+
 def build_codebook(
     vectors: np.ndarray,
     num_entries: int = DEFAULT_CODEBOOK_SIZE,
@@ -168,7 +314,8 @@ def build_codebook(
     Parameters
     ----------
     vectors:
-        ``(N, D)`` training vectors (the mid-importance voxel features).
+        ``(N, D)`` finite training vectors (the mid-importance voxel
+        features).
     num_entries:
         Codebook size ``K`` (4096 in the paper), at least 1.  With fewer
         than ``K`` training vectors the k-means runs on that many clusters
@@ -182,9 +329,10 @@ def build_codebook(
         Training subsample cap, keeping codebook construction fast on large
         scenes while assignments still use the full data.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
         raise ValueError("vectors must be (N, D)")
+    _check_finite(vectors)
     if num_entries < 1:
         raise ValueError(f"num_entries must be >= 1, got {num_entries}")
     if num_iterations < 0:
@@ -202,15 +350,7 @@ def build_codebook(
         train = vectors[rng.choice(n, size=sample_limit, replace=False)]
 
     k = int(min(num_entries, train.shape[0]))
-    centroids = _kmeans_plus_plus_init(train, k, rng)
-
-    for _ in range(num_iterations):
-        assignment = _nearest_centroids(train, centroids)[0]
-        counts = np.bincount(assignment, minlength=k).astype(np.float64)
-        sums = np.zeros((k, train.shape[1]), dtype=np.float64)
-        np.add.at(sums, assignment, train)
-        nonempty = counts > 0
-        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+    centroids = _lloyd(train, _kmeans_plus_plus_init(train, k, rng), num_iterations)
 
     # Pad with copies if the data had fewer distinct vectors than requested so
     # downstream index arithmetic (18-bit addressing regions) stays uniform.
