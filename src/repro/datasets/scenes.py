@@ -15,6 +15,23 @@ The generated grid stores:
   passes these straight through to the RGB logits);
 * feature channels 3+: low-amplitude procedural texture, so that every
   channel participates in quantization and compression.
+
+A vertex is occupied when the scene's signed distance there is below half a
+voxel.  Only vertices near that level set are evaluated (a *narrow band*),
+and the mask is still bit-identical to evaluating every vertex, because each
+scene's SDF is 1-Lipschitz: it changes by at most the distance moved (the
+bound sphere tracing relies on; Hart, *Sphere Tracing*, 1996).  The sphere,
+box, cylinder and torus primitives are exact SDFs, and shells (``|d| - t``),
+unions (``min``), axis permutations and translations keep the property;
+evaluating at ``p / geometry_scale`` divides the bound by the scale.  So a
+small block of vertices whose centre distance is at least the threshold plus
+the block's reach (half-diagonal / ``geometry_scale``, with a relative safety
+factor) holds no occupied vertex, and one whose centre distance plus its
+reach is below the threshold is occupied throughout.  Only the vertices of
+the remaining blocks are evaluated, with the same per-point arithmetic as a
+full-grid evaluation.  A new primitive or combinator must be 1-Lipschitz
+too; ``tests/test_datasets.py`` compares the band with a full-grid
+evaluation on every scene and would catch one that is not.
 """
 
 from __future__ import annotations
@@ -237,6 +254,13 @@ _GEOMETRIES: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+#: Vertices per edge of the blocks :func:`_occupied_vertices` classifies.
+_BAND_BLOCK = 4
+#: Relative safety factor on a block's reach, far above the few ulps by which
+#: two evaluations of one distance can differ.
+_REACH_SLACK = 1e-6
+
+
 def _logit(x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
     x = np.clip(x, eps, 1.0 - eps)
     return np.log(x / (1.0 - x))
@@ -292,6 +316,44 @@ def _calibrate_occupancy(
     return thinned.reshape(occupied.shape)
 
 
+def _occupied_vertices(
+    geometry: Callable[[np.ndarray], np.ndarray], resolution: int, geometry_scale: float
+) -> np.ndarray:
+    """``geometry(p / geometry_scale) < voxel / 2`` on every grid vertex ``p``.
+
+    Bit for bit what evaluating every vertex gives, but only the narrow band
+    around that level set is evaluated (see the module docstring).  Blocks
+    of :data:`_BAND_BLOCK` vertices per edge are classified by the distance
+    at their centres; each vertex of an undecided block gets exactly the
+    full grid's per-point arithmetic.
+    """
+    axis = np.linspace(-1.0, 1.0, resolution)
+    threshold = 0.5 * (2.0 / (resolution - 1))
+    # Each axis's blocks as inclusive (first, last) vertex ids; the last may be short.
+    first = np.arange(0, resolution, _BAND_BLOCK)
+    last = np.minimum(first + _BAND_BLOCK - 1, resolution - 1)
+    centre = (axis[first] + axis[last]) / 2
+    half = (axis[last] - axis[first]) / 2
+    cx, cy, cz = np.meshgrid(centre, centre, centre, indexing="ij")
+    hx, hy, hz = np.meshgrid(half, half, half, indexing="ij")
+    distance = geometry(np.stack([cx, cy, cz], axis=-1).reshape(-1, 3) / geometry_scale)
+    # A 1-Lipschitz SDF moves by at most |p - q| / geometry_scale.
+    reach = (1.0 + _REACH_SLACK) * np.sqrt(hx**2 + hy**2 + hz**2).ravel() / geometry_scale
+    inside = distance + reach < threshold
+    band = ~inside & (distance - reach < threshold)
+
+    # Spread the per-block decisions over the vertices, then evaluate the band.
+    blocks = (len(first),) * 3
+    block_of = np.arange(resolution) // _BAND_BLOCK
+    vertex_blocks = np.ix_(block_of, block_of, block_of)
+    occupied = inside.reshape(blocks)[vertex_blocks]
+    ids = np.flatnonzero(band.reshape(blocks)[vertex_blocks])
+    i, j, k = np.unravel_index(ids, occupied.shape)
+    points = np.stack([axis[i], axis[j], axis[k]], axis=-1)
+    occupied.reshape(-1)[ids] = geometry(points / geometry_scale) < threshold
+    return occupied
+
+
 def build_scene_grid(
     name: str,
     resolution: int = 128,
@@ -308,11 +370,16 @@ def build_scene_grid(
         Grid vertices per axis (the paper's VQRF grids are ~160^3; tests use
         much smaller grids).
     feature_dim:
-        Color-feature channels (12 in VQRF).
+        Color-feature channels (12 in VQRF), at least 3: channels 0-2 hold
+        the albedo logits.
     seed:
         Seed for occupancy thinning and procedural texture.
     """
     spec_info = scene_spec(name)
+    if feature_dim < 3:
+        raise ValueError(
+            f"feature_dim must be >= 3 (channels 0-2 hold the albedo logits), got {feature_dim}"
+        )
     geometry = _GEOMETRIES[name]
     # zlib.crc32 is stable across processes (unlike the salted built-in hash),
     # so a given (name, seed) pair always produces the same grid.
@@ -321,17 +388,7 @@ def build_scene_grid(
     grid_spec = GridSpec(resolution=resolution, feature_dim=feature_dim)
     grid = VoxelGrid(grid_spec)
 
-    # Evaluate the SDF on all grid vertices (in the canonical geometry frame,
-    # so objects scaled by geometry_scale fill the [-1, 1]^3 scene box).
-    axis = np.linspace(-1.0, 1.0, resolution)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    points = np.stack([xs, ys, zs], axis=-1).reshape(-1, 3)
-    distance = geometry(points / spec_info.geometry_scale).reshape(
-        resolution, resolution, resolution
-    )
-
-    voxel = 2.0 / (resolution - 1)
-    occupied = distance < 0.5 * voxel
+    occupied = _occupied_vertices(geometry, resolution, spec_info.geometry_scale)
     occupied = _calibrate_occupancy(occupied, spec_info.target_occupancy, rng)
 
     # Density: constant inside the object (an opaque surface once softplus'd).

@@ -2,6 +2,8 @@
 Lloyd iterations against plain ones, argument checks."""
 
 import hashlib
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -397,6 +399,80 @@ def test_margin_settles_a_gemv_tail_tie_like_plain_lloyd():
     train, centroids = _gemv_tail_tie()
     expected = _plain_lloyd(train, centroids.copy(), 3)
     assert vq._lloyd(train, centroids, 3).tobytes() == expected.tobytes()
+
+
+def _moved_centroid_near_tie():
+    """Lloyd data on which a margin 1e-4 times the proven one keeps a wrong row.
+
+    Row r and its mirror 2a - r (whose mean is a bit for bit on this draw)
+    keep centroid a in place; row s pulls centroid b onto itself, and b
+    is the only centroid that moves.  s = r + Q (a - r) for a rotation Q, so r
+    is as far from s as from a up to rounding: in the second iteration's full
+    pass s wins by one ulp of the ``|x|^2`` terms (128 ulps of the distance),
+    not by an exact tie.  The incremental pass checks r against the moved
+    centroid alone, a 1-column gemv that rounds r's distance to s three such
+    ulps above its distance to a.  The proven margin sends r to a full row; on
+    OpenBLAS's Haswell kernels a margin 1e-4 or 3e-4 times as large does not,
+    and r stays with a.
+    """
+    dim = 8
+    rng = np.random.default_rng(2884)
+    a = rng.uniform(4.0, 6.0, size=dim)
+    r = a + rng.normal(scale=0.3, size=dim)
+    rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    s = r + rotation @ (a - r)
+    b = s + 0.05 * (s - r) / np.linalg.norm(s - r)
+    # Six far centroids, each owning one row equal to it, so none moves.
+    far = a + 10.0 * np.eye(dim)[:6] * np.sign(rng.normal(size=(6, 1)))
+    return np.vstack([r, 2 * a - r, s, far]), np.vstack([a, b, far])
+
+
+def test_margin_size_settles_a_few_ulp_near_tie_like_plain_lloyd():
+    train, centroids = _moved_centroid_near_tie()
+    assert np.array_equal((train[0] + train[1]) / 2, centroids[0])  # a stays put
+    expected = _plain_lloyd(train, centroids.copy(), 3)
+    assert vq._lloyd(train, centroids, 3).tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# No thread outlives a build
+# ----------------------------------------------------------------------
+def _build_bytes():
+    return build_codebook(_clustered(0, 2000, 12, 20), num_entries=256).codebook.tobytes()
+
+
+def test_build_codebook_leaves_no_thread_behind():
+    before = threading.active_count()
+    _build_bytes()
+    assert threading.active_count() == before
+
+
+def _build_in_child(conn):
+    conn.send(_build_bytes())
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_codebook_builds_in_a_forked_child():
+    # The process and remote backends fork workers from a process that has
+    # built codebooks; a helper thread or pool outliving a call would hang them.
+    expected = _build_bytes()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_build_in_child, args=(sender,))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(60), "the forked child did not finish its codebook"
+        assert receiver.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
 
 
 # ----------------------------------------------------------------------
