@@ -66,6 +66,7 @@ REQUIRED_FAMILIES = (
     "repro_serve_cache_hits_total",
     "repro_serve_tiles_deduped_total",
     "repro_serve_cache_bytes",
+    "repro_serve_cache_logical_bytes",
     "repro_serve_cache_hit_seconds",
     "repro_edge_requests_total",
     "repro_edge_request_seconds",

@@ -131,9 +131,11 @@ class _Job:
     finished_at: Optional[float] = None
     bundle_cached: Optional[bool] = None
     memory_bytes: int = 0
-    tiles: List[Tile] = field(default_factory=list)
+    #: The shared, immutable plan of this job's geometry (see plan_tiles).
+    tiles: Tuple[Tile, ...] = ()
     #: Per-tile content-address fingerprints, computed once at planning time
-    #: (``None`` while the server runs with the cache off).
+    #: and dropped at the terminal transition (``None`` while the server
+    #: runs with the cache off).
     tile_keys: Optional[List[str]] = None
     #: ``(height, width)`` captured at planning time, so finalization never
     #: re-loads a scene the store may have dropped mid-job.
@@ -677,8 +679,13 @@ class RenderServer:
         ))
         families.append(prometheus_gauge(
             "repro_serve_cache_bytes",
-            "Bytes of resident cached tiles.",
+            "Bytes held by resident cached tiles (packed rows plus bitmaps).",
             [(None, stats.cache_bytes)],
+        ))
+        families.append(prometheus_gauge(
+            "repro_serve_cache_logical_bytes",
+            "Bytes the resident cached tiles would take as raw arrays.",
+            [(None, stats.cache_logical_bytes)],
         ))
         families.append(prometheus_gauge(
             "repro_serve_worker_utilization",
@@ -767,7 +774,12 @@ class RenderServer:
             ) from None
 
     def _retire(self, job: _Job) -> None:
-        """Record a terminal transition and trim retention of finished jobs."""
+        """Record a terminal transition and trim retention of finished jobs.
+
+        A finished job keeps no cache keys: dispatch was their last reader,
+        and a server that retains every job would otherwise hold them all.
+        """
+        job.tile_keys = None
         self._active.discard(job.job_id)
         if job.estimated_cost is not None and job.state is not JobState.REJECTED:
             self._pending_cost = max(0.0, self._pending_cost - job.estimated_cost)
@@ -916,11 +928,15 @@ class RenderServer:
         if self.cache is not None:
             # Content addresses are a pure function of immutable inputs, so
             # one computation at plan time covers the job's whole lifetime.
+            # The key takes the threshold the render will use: None, 0 and
+            # 0.0 on a scene configured with 0.0 are one render, one key.
             bundle = self.store.bundle_fingerprint(job.scene, job.pipeline)
+            threshold = job.transmittance_threshold
+            if threshold is None:
+                threshold = scene.render_config.transmittance_threshold
+            threshold = float(threshold)
             job.tile_keys = [
-                tile_fingerprint(
-                    bundle, camera, tile.start, tile.stop, job.transmittance_threshold
-                )
+                tile_fingerprint(bundle, camera, tile.start, tile.stop, threshold)
                 for tile in job.tiles
             ]
         job.started_at = self._clock()

@@ -154,7 +154,9 @@ class ServerStats:
     #: content-addressed cache without touching the backend;
     #: ``deduped_tiles`` are tiles that attached to an identical in-flight
     #: dispatch of another job instead of dispatching their own.  Cache-hit
-    #: *latency* lives in ``stage_breakdown["cache_hit"]``.
+    #: *latency* lives in ``stage_breakdown["cache_hit"]``.  ``cache_bytes``
+    #: is what the packed tiles hold (the budget's measure) and
+    #: ``cache_logical_bytes`` what they would take as raw arrays.
     cache_enabled: bool = False
     cache_hits: int = 0
     cache_misses: int = 0
@@ -163,6 +165,7 @@ class ServerStats:
     cache_evictions: int = 0
     cache_entries: int = 0
     cache_bytes: int = 0
+    cache_logical_bytes: int = 0
     deduped_tiles: int = 0
 
     def as_dict(self) -> Dict[str, float]:
@@ -331,4 +334,5 @@ class Telemetry:
             stats.cache_evictions = cache_stats.evictions
             stats.cache_entries = cache_stats.entries
             stats.cache_bytes = cache_stats.resident_bytes
+            stats.cache_logical_bytes = cache_stats.logical_bytes
         return stats

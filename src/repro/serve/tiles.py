@@ -19,7 +19,8 @@ planner shards in flat row-major runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,12 @@ class Tile:
         return np.arange(self.start, self.stop, dtype=np.int64)
 
 
+#: Distinct ``(num_pixels, tile_size, camera_index)`` plans kept shared: a
+#: server's traffic repeats a few frame geometries, so every job of one
+#: holds the same immutable plan instead of a fresh list of tiles.
+_PLAN_MEMO_SIZE = 256
+
+
 def _check_count(name: str, value) -> int:
     """Validate one integral planner argument, rejecting floats and bools."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -59,7 +66,7 @@ def _check_count(name: str, value) -> int:
     return int(value)
 
 
-def plan_tiles(num_pixels: int, tile_size: int, camera_index: int = 0) -> List[Tile]:
+def plan_tiles(num_pixels: int, tile_size: int, camera_index: int = 0) -> Tuple[Tile, ...]:
     """Partition a view's ``num_pixels`` into contiguous tiles of ``tile_size``.
 
     The partition is exactly the ray-chunk partition of a whole-frame render
@@ -72,9 +79,20 @@ def plan_tiles(num_pixels: int, tile_size: int, camera_index: int = 0) -> List[T
     silent empty plan would finalize a job with no image), a ``tile_size``
     at or above ``num_pixels`` is exactly one full-frame tile, and a
     non-divisible ``tile_size`` puts the remainder in the final tile.
+
+    The plan is an immutable tuple shared by every call with the same
+    geometry (a bounded memo).  The arguments are type-checked first:
+    ``100.0`` hashes like ``100`` and would otherwise find a memoised plan.
     """
-    num_pixels = _check_count("num_pixels", num_pixels)
-    tile_size = _check_count("tile_size", tile_size)
+    return _plan(
+        _check_count("num_pixels", num_pixels),
+        _check_count("tile_size", tile_size),
+        _check_count("camera_index", camera_index),
+    )
+
+
+@lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _plan(num_pixels: int, tile_size: int, camera_index: int) -> Tuple[Tile, ...]:
     if num_pixels <= 0:
         raise ValueError(
             f"num_pixels must be positive, got {num_pixels} (a zero-pixel frame "
@@ -85,7 +103,7 @@ def plan_tiles(num_pixels: int, tile_size: int, camera_index: int = 0) -> List[T
     if tile_size >= num_pixels:
         # One tile covering the whole frame; the schedule degenerates to a
         # single engine call, still bit-identical to the direct render.
-        return [Tile(camera_index=camera_index, start=0, stop=num_pixels)]
+        return (Tile(camera_index=camera_index, start=0, stop=num_pixels),)
     num_full, remainder = divmod(num_pixels, tile_size)
     tiles = [
         Tile(camera_index=camera_index, start=i * tile_size, stop=(i + 1) * tile_size)
@@ -96,7 +114,7 @@ def plan_tiles(num_pixels: int, tile_size: int, camera_index: int = 0) -> List[T
             Tile(camera_index=camera_index, start=num_full * tile_size, stop=num_pixels)
         )
     assert tiles[0].start == 0 and tiles[-1].stop == num_pixels
-    return tiles
+    return tuple(tiles)
 
 
 def assemble_tiles(

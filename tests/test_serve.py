@@ -90,6 +90,21 @@ def test_plan_tiles_rejects_bad_sizes():
         plan_tiles(100, 0)
 
 
+def test_plan_tiles_shares_one_immutable_plan_per_geometry(warm_store):
+    plan = plan_tiles(100, 32, camera_index=1)
+    assert isinstance(plan, tuple)
+    assert plan_tiles(100, 32, camera_index=1) is plan
+    assert plan_tiles(100, 32, camera_index=2) is not plan
+    # The memo never answers for arguments that fail validation.
+    with pytest.raises(TypeError, match="num_pixels"):
+        plan_tiles(100.0, 32, camera_index=1)
+    server = RenderServer(warm_store, default_tile_size=64)
+    first = server.submit("lego", "dense")
+    second = server.submit("lego", "dense")
+    server.run_until_idle()
+    assert server._jobs[first].tiles is server._jobs[second].tiles
+
+
 def test_assemble_rejects_incomplete_cover():
     tiles = [Tile(0, 0, 8)]
     with pytest.raises(ValueError, match="frame incomplete"):

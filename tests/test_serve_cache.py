@@ -9,6 +9,9 @@ This suite proves:
 * **TileCache** — LRU byte-budget accounting: hit/miss/insertion/eviction
   counters, recency-ordered eviction, oversize rejection, read-only served
   arrays, and ``make_cache`` refusing contradictory knobs loudly;
+* **packed storage** — a tile round-trips through the change bitmap with its
+  exact bytes (NaN payloads, signed zeros, infinities, subnormals), and the
+  budget counts the packed bytes held;
 * **fingerprints** — tile keys react to every render input (bundle, pose,
   intrinsics, span, knobs) and to nothing else; differently configured
   stores never share bundle fingerprints;
@@ -31,8 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import PipelineConfig, SpNeRFConfig
+from repro.api import PipelineConfig, SpNeRFConfig, render_tile
 from repro.serve import (
     DEFAULT_CACHE_BUDGET_BYTES,
     JobState,
@@ -82,6 +87,16 @@ def tile_image(value: float, pixels: int = 4) -> np.ndarray:
     return np.full((pixels, 3), value, dtype=np.float64)
 
 
+def distinct_tile(value: float, pixels: int = 4) -> np.ndarray:
+    """A tile whose every row differs from the previous one: nothing packs."""
+    return value + np.arange(pixels * 3, dtype=np.float64).reshape(pixels, 3)
+
+
+def packed_bytes(pixels: int = 4) -> int:
+    """Bytes a :func:`distinct_tile` holds: every row plus the bitmap."""
+    return pixels * 3 * 8 + (pixels + 7) // 8
+
+
 # ----------------------------------------------------------------------
 # TileCache unit behaviour
 # ----------------------------------------------------------------------
@@ -89,25 +104,25 @@ def tile_image(value: float, pixels: int = 4) -> np.ndarray:
 def test_cache_counts_hits_misses_and_insertions():
     cache = TileCache(budget_bytes=None, clock=FakeClock())
     assert cache.get("a") is None
-    assert cache.put("a", tile_image(1.0))
-    np.testing.assert_array_equal(cache.get("a"), tile_image(1.0))
+    assert cache.put("a", distinct_tile(1.0))
+    np.testing.assert_array_equal(cache.get("a"), distinct_tile(1.0))
     stats = cache.stats()
     assert (stats.hits, stats.misses, stats.insertions) == (1, 1, 1)
     assert stats.hit_rate == 0.5
     assert stats.entries == 1
-    assert stats.resident_bytes == tile_image(1.0).nbytes
+    assert stats.resident_bytes == packed_bytes()
     assert "a" in cache and "b" not in cache
     assert len(cache) == 1
 
 
 def test_cache_evicts_lru_under_byte_budget():
-    one_tile = tile_image(0.0).nbytes
+    one_tile = packed_bytes()
     cache = TileCache(budget_bytes=3 * one_tile, clock=FakeClock())
     for index, key in enumerate("abc"):
-        cache.put(key, tile_image(float(index)))
+        cache.put(key, distinct_tile(float(index)))
     # Touch the cold end so recency, not insertion order, decides eviction.
     assert cache.get("a") is not None
-    cache.put("d", tile_image(3.0))
+    cache.put("d", distinct_tile(3.0))
     assert "b" not in cache  # the true LRU went, not the refreshed "a"
     assert all(key in cache for key in "acd")
     stats = cache.stats()
@@ -116,12 +131,12 @@ def test_cache_evicts_lru_under_byte_budget():
 
 
 def test_cache_rejects_entries_larger_than_budget():
-    cache = TileCache(budget_bytes=tile_image(0.0).nbytes, clock=FakeClock())
-    assert not cache.put("huge", tile_image(1.0, pixels=64))
+    cache = TileCache(budget_bytes=packed_bytes(), clock=FakeClock())
+    assert not cache.put("huge", distinct_tile(1.0, pixels=64))
     assert len(cache) == 0
     assert cache.stats().rejected_oversize == 1
     # A budget-sized entry is still admitted.
-    assert cache.put("fits", tile_image(1.0))
+    assert cache.put("fits", distinct_tile(1.0))
 
 
 def test_cache_serves_read_only_isolated_copies():
@@ -137,13 +152,13 @@ def test_cache_serves_read_only_isolated_copies():
 
 
 def test_cache_reinsert_refreshes_instead_of_duplicating():
-    one_tile = tile_image(0.0).nbytes
+    one_tile = packed_bytes()
     cache = TileCache(budget_bytes=2 * one_tile, clock=FakeClock())
-    cache.put("a", tile_image(1.0))
-    cache.put("b", tile_image(2.0))
-    cache.put("a", tile_image(1.0))  # refresh, not duplicate
+    cache.put("a", distinct_tile(1.0))
+    cache.put("b", distinct_tile(2.0))
+    cache.put("a", distinct_tile(1.0))  # refresh, not duplicate
     assert cache.stats().insertions == 2
-    cache.put("c", tile_image(3.0))
+    cache.put("c", distinct_tile(3.0))
     assert "b" not in cache and "a" in cache  # "a" was refreshed to the hot end
 
 
@@ -155,6 +170,81 @@ def test_cache_clear_counts_evictions():
     assert len(cache) == 0
     assert cache.stats().evictions == 2
     assert cache.stats().resident_bytes == 0
+
+
+#: Bit patterns the packed format must round-trip exactly, per dtype: a small
+#: palette, NaNs with several payloads and signs, both zeros, both
+#: infinities and subnormals.
+_PALETTE_VALUES = [0.0, -0.0, 0.25, 1.0, -3.5, np.inf, -np.inf]
+_BIT_PALETTES = {
+    "float64": np.concatenate([
+        np.array(_PALETTE_VALUES + [5e-324, -5e-324, 2.2e-310]).view(np.uint64),
+        np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                  0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+    ]),
+    "float32": np.concatenate([
+        np.array(_PALETTE_VALUES + [1e-45, -1e-45, 1e-39], dtype=np.float32).view(np.uint32),
+        np.array([0x7FC00000, 0xFFC00000, 0x7FC00001, 0x7F800001, 0xFFFFFFFF],
+                 dtype=np.uint32),
+    ]),
+}
+
+
+def _runs_tile(num_rows: int, mode: str, seed: int, dtype: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    palette = _BIT_PALETTES[dtype]
+    if mode == "one-run":
+        rows = np.broadcast_to(rng.choice(palette, 3), (num_rows, 3))
+    elif mode == "no-runs":
+        # Column 0 alternates between two distinct patterns: every row differs.
+        first, second = rng.choice(palette, 2, replace=False)
+        rows = rng.choice(palette, (num_rows, 3))
+        rows[:, 0] = np.where(np.arange(num_rows) % 2, first, second)
+    else:
+        row_palette = rng.choice(palette, (int(rng.integers(1, 6)), 3))
+        picks = np.repeat(rng.integers(len(row_palette), size=num_rows),
+                          rng.integers(1, 40, size=num_rows))[:num_rows]
+        rows = row_palette[picks]
+    return np.ascontiguousarray(rows).view(dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_rows=st.integers(1, 600),
+    mode=st.sampled_from(["one-run", "no-runs", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from(["float64", "float32"]),
+)
+def test_packed_tiles_round_trip_exact_bytes(num_rows, mode, seed, dtype):
+    image = _runs_tile(num_rows, mode, seed, dtype)
+    cache = TileCache(budget_bytes=None)
+    cache.put("k", image)
+    served = cache.get("k")
+    assert served.shape == image.shape and served.dtype == image.dtype
+    assert served.tobytes() == image.tobytes()
+    assert not served.flags.writeable
+    raw = [row.tobytes() for row in image]
+    held = sum(1 for i, row in enumerate(raw) if i == 0 or row != raw[i - 1])
+    if mode == "one-run":
+        assert held == 1
+    if mode == "no-runs":
+        assert held == num_rows
+    stats = cache.stats()
+    assert stats.resident_bytes == held * image[0].nbytes + (num_rows + 7) // 8
+    assert stats.logical_bytes == image.nbytes
+
+
+def test_rendered_tile_is_held_in_at_most_half_its_raw_bytes():
+    store = make_store()
+    record = store.get("lego", "spnerf")
+    assert record.scene.cameras[0].num_pixels == 576
+    image = render_tile(record.engine, 0, 0, 576).image
+    cache = TileCache(budget_bytes=None)
+    cache.put("lego", image)
+    stats = cache.stats()
+    assert stats.logical_bytes == image.nbytes == 576 * 3 * 8
+    assert stats.resident_bytes <= image.nbytes // 2
+    assert cache.get("lego").tobytes() == image.tobytes()
 
 
 def test_cache_validates_budget():
@@ -312,6 +402,48 @@ def test_warm_orbit_replay_hits_the_cache():
         assert np.array_equal(
             server.result(job_ids[0]).image, server.result(job_ids[3]).image
         )
+
+
+def test_threshold_spellings_of_one_render_share_cache_keys():
+    """None, 0 and 0.0 on a scene configured with 0.0 are one render: the
+    first job misses every tile and the other two hit every tile."""
+    store = make_store()
+    assert store.get_scene("lego").render_config.transmittance_threshold == 0.0
+    with RenderServer(store, default_tile_size=TILE, cache="lru") as server:
+        jobs = []
+        for threshold in (None, 0, 0.0):
+            jobs.append(server.submit("lego", "dense", transmittance_threshold=threshold))
+            server.run_until_idle()
+        cache = server.cache.stats()
+        assert (cache.misses, cache.hits, cache.insertions) == (8, 16, 8)
+        first = server.result(jobs[0]).image
+        assert all(np.array_equal(server.result(job).image, first) for job in jobs)
+        # A threshold that changes the render still gets keys of its own.
+        server.submit("lego", "dense", transmittance_threshold=0.5)
+        server.run_until_idle()
+        assert server.cache.stats().misses == 16
+
+
+def test_finished_jobs_drop_their_cache_keys():
+    """Keys live from planning to the terminal transition, whichever it is."""
+    store = make_store()
+    clock = FakeClock()
+    with RenderServer(store, default_tile_size=TILE, cache="lru", clock=clock) as server:
+        cancelled = server.submit("lego", "dense")
+        server.step()
+        assert len(server._jobs[cancelled].tile_keys) == 8
+        assert server.cancel(cancelled)
+        expired = server.submit("ficus", "dense", deadline_s=0.5)
+        server.step()
+        assert len(server._jobs[expired].tile_keys) == 8
+        clock.advance(1.0)
+        done = server.submit("lego", "dense")
+        failed = server.submit("lego", "no-such-pipeline")
+        server.run_until_idle()
+        for job, state in ((done, JobState.DONE), (failed, JobState.FAILED),
+                           (cancelled, JobState.CANCELLED), (expired, JobState.EXPIRED)):
+            assert server.poll(job).state is state
+            assert server._jobs[job].tile_keys is None
 
 
 def test_cache_eviction_under_tiny_budget_keeps_serving():
