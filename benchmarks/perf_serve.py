@@ -10,7 +10,7 @@ repo root, next to ``BENCH_render.json``:
   latency and queue-wait percentiles under uncoordinated traffic.
 
 Both loops run on the execution backend picked by ``--backend`` (serial,
-thread or process — see :mod:`repro.serve.backends`), and a **backend
+process or remote — see :mod:`repro.serve.backends`), and a **backend
 comparison** section replays the same closed-loop workload under the serial
 and process-pool backends on warmed stores, reporting the wall-clock
 throughput of each and the pool's speedup (guarded by

@@ -9,7 +9,7 @@ Shows the :mod:`repro.serve` subsystem end to end:
    high-priority request that overtakes the queue, and a request with a
    deadline too tight to meet,
 3. pump the scheduler over the chosen execution backend (``--backend
-   serial|thread|process``), streaming one job's tiles as they complete,
+   serial|process``), streaming one job's tiles as they complete,
    then read frames, PSNR and latency off the results and print the
    server's telemetry snapshot (per-worker utilization included).
 

@@ -28,8 +28,7 @@ Seven layers, one module each:
   serves hits without touching the backend and collapses identical
   in-flight tiles across concurrent jobs into one dispatch.
 * :mod:`~repro.serve.backends` — where tiles execute:
-  :class:`SerialBackend` (deterministic, default),
-  :class:`ThreadPoolBackend` (shared store, GIL-bound), and
+  :class:`SerialBackend` (deterministic, default) and
   :class:`ProcessPoolBackend` (shared-nothing store shards, tiles routed by
   ``(scene, pipeline)`` affinity — true parallelism).  The process pool is
   self-healing and elastic: dead workers respawn from the store spec with
@@ -80,7 +79,6 @@ from repro.serve.backends import (
     FaultPlan,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     TileResult,
     TileTask,
     make_backend,
@@ -171,7 +169,6 @@ __all__ = [
     # backends
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "TileTask",
     "TileResult",

@@ -4,34 +4,30 @@ The :class:`~repro.serve.server.RenderServer` is a pure scheduler — it plans
 tiles, decides their order, and collects completions.  *Executing* a tile is
 this module's job, behind one small contract (:class:`ExecutionBackend`):
 ``submit`` takes a picklable :class:`TileTask`, ``collect`` returns finished
-:class:`TileResult`\\ s, possibly out of submission order.  Three backends
-implement it:
+:class:`TileResult`\\ s, possibly out of submission order.  Two backends
+implement it in-process:
 
 * :class:`SerialBackend` — renders on the scheduler's own thread at submit
   time.  One tile in flight, results in order: exactly the deterministic
   cooperative loop earlier revisions hard-wired into the server, and still
   the default.
-* :class:`ThreadPoolBackend` — a pool of worker threads sharing the server's
-  :class:`~repro.serve.store.SceneStore` (bundle builds are serialized by a
-  lock).  The renderer is numpy/BLAS-bound, so threads overlap the fraction
-  of the work that releases the GIL; gains are modest and workload-dependent.
 * :class:`ProcessPoolBackend` — shared-nothing worker processes, each owning
   its *own* store shard built from the parent store's picklable
   :meth:`~repro.serve.store.SceneStore.spec` (bundles are rebuilt in the
   worker, never pickled — scene generation, compression and preprocessing
   are deterministic in the scene name and config, so a worker's bundle
-  renders bit-identical frames).  This is the backend that actually
-  parallelizes Python-heavy rendering.
+  renders bit-identical frames).  This is the backend that parallelizes
+  rendering on one host.
+
+Neither touches the scheduler's store from a second thread, which is why
+the store takes no locks (see :mod:`repro.serve.store`).
 
 Tiles route to pool workers by ``(scene, pipeline)`` **affinity**: the first
 tile of a key picks the least-loaded worker and every later tile follows it.
 That keeps each bundle resident in exactly one shard (no duplicate builds,
-per-shard memory budgets add up to the operator's budget) and guarantees no
-two workers ever render the same engine concurrently — which is also what
-makes the thread backend safe, since engines and their fields keep per-render
-scratch state.
+per-shard memory budgets add up to the operator's budget).
 
-Bit-identity holds across all three backends because a tile renders as a
+Bit-identity holds across every backend because a tile renders as a
 single contiguous ray batch (:func:`repro.api.render_tile`) regardless of
 who executes it; see :mod:`repro.serve.tiles` for why batch geometry is the
 only thing the bits depend on.
@@ -61,7 +57,7 @@ after *M* tiles, poison one bundle build, delay a worker, plus the network
 faults only the remote backend can suffer), threaded through
 :func:`make_backend` so tests and benchmarks can prove jobs survive.
 
-A fourth backend crosses the host boundary:
+A third backend crosses the host boundary:
 :class:`~repro.serve.remote.RemoteBackend` (in :mod:`repro.serve.remote`)
 speaks the same ``TileTask``/``TileResult`` contract to
 :class:`~repro.serve.remote.RemoteHostAgent` processes over TCP, reusing
@@ -74,7 +70,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_lib
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -93,7 +88,6 @@ __all__ = [
     "BackendEvent",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "BACKEND_NAMES",
     "make_backend",
@@ -611,84 +605,8 @@ class _PoolBackend(ExecutionBackend):
         """First completion of an outstanding tile (subclass hook)."""
 
     def _supervise(self) -> None:
-        """Detect and repair dead workers (no-op for threads — they cannot
-        die silently; ``_execute_tile`` never lets an exception escape)."""
-
-
-def _thread_worker(
-    worker_id: int,
-    store: SceneStore,
-    task_queue: "queue_lib.SimpleQueue",
-    result_queue: "queue_lib.SimpleQueue",
-    fault_plan: Optional[FaultPlan] = None,
-) -> None:
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        if (
-            fault_plan is not None
-            and fault_plan.delay_worker == worker_id
-            and fault_plan.delay_s > 0
-        ):
-            time.sleep(fault_plan.delay_s)
-        result_queue.put(_execute_tile(store, task, worker_id))
-
-
-class ThreadPoolBackend(_PoolBackend):
-    """Worker threads sharing the server's store.
-
-    Bundle acquisition (and therefore building) serializes on the store's
-    own lock; rendering runs outside it.  Affinity routing means a given
-    engine is only ever rendered by its one worker, so no render-path state
-    is shared between threads — the GIL is the only remaining serialization,
-    and numpy releases it inside the heavy kernels.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        queue_depth: int = 2,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        super().__init__(num_workers=num_workers, queue_depth=queue_depth, fault_plan=fault_plan)
-        if fault_plan is not None and fault_plan.kill_worker is not None:
-            raise ValueError(
-                "FaultPlan.kill_worker requires the process backend "
-                "(a thread cannot be crashed from outside)"
-            )
-
-    def _launch(self, store: SceneStore) -> None:
-        if self.fault_plan is not None and self.fault_plan.poison_key is not None:
-            store.poison(*self.fault_plan.poison_key)
-        self._task_queues = [queue_lib.SimpleQueue() for _ in range(self.num_workers)]
-        self._result_queue = queue_lib.SimpleQueue()
-        self._threads = [
-            threading.Thread(
-                target=_thread_worker,
-                args=(i, store, self._task_queues[i], self._result_queue, self.fault_plan),
-                name=f"serve-worker-{i}",
-                daemon=True,
-            )
-            for i in range(self.num_workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _close(self) -> None:
-        # Drop the undispatched backlog first so each worker reaches its
-        # sentinel after at most the tile it is currently rendering — close
-        # with work in flight must not render the queue dry before exiting.
-        for task_queue in self._task_queues:
-            _drain_queue(task_queue)
-        for task_queue in self._task_queues:
-            task_queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        _drain_queue(self._result_queue)
-        self._outstanding.clear()
+        """Detect and repair dead workers (runs on every collect)."""
+        raise NotImplementedError
 
 
 def _process_worker(worker_id, spec, num_shards, task_queue, result_queue, fault_plan=None) -> None:
@@ -735,16 +653,13 @@ class ProcessPoolBackend(_PoolBackend):
     Workers are forked where available (so closure loaders injected into the
     parent store keep working) and rebuild their bundles deterministically
     from the store spec; only :class:`TileTask`\\ s and :class:`TileResult`\\ s
-    cross the process boundary.  This sidesteps the GIL entirely: per-tile
-    Python overhead — sampling, masking, bookkeeping — runs truly in
-    parallel, which the thread backend cannot offer.
+    cross the process boundary, so per-tile Python overhead — sampling,
+    masking, bookkeeping — runs in parallel outside the scheduler's GIL.
 
     Shared-nothing is also what makes this the *elastic* backend: a shard
     can be killed and rebuilt from the spec at any time, and a tile may
     safely render on two shards at once (each owns a private bundle), so
     supervision/respawn, speculative hedging and key stealing all live here.
-    The thread backend gets none of them — its workers share one store, and
-    two threads must never render the same engine concurrently.
 
     Parameters (beyond the pool's ``num_workers``/``queue_depth``/
     ``fault_plan``):
@@ -1003,7 +918,7 @@ class ProcessPoolBackend(_PoolBackend):
 
 
 #: Backend names :func:`make_backend` (and the benchmark CLI) accept.
-BACKEND_NAMES = ("serial", "thread", "process", "remote")
+BACKEND_NAMES = ("serial", "process", "remote")
 
 
 def make_backend(
@@ -1045,7 +960,7 @@ def make_backend(
         "backoff_max_s": backoff_max_s,
         "local_fallback": local_fallback,
     }
-    if name in ("serial", "thread", "process"):
+    if name in ("serial", "process"):
         refused = sorted(knob for knob, value in remote_only.items() if value is not None)
         if refused:
             raise ValueError(
@@ -1090,13 +1005,6 @@ def make_backend(
     pool_kwargs: dict = {"num_workers": num_workers, "fault_plan": fault_plan}
     if queue_depth is not None:
         pool_kwargs["queue_depth"] = queue_depth
-    if name == "thread":
-        if hedge_multiplier is not None or steal_interval_s is not None:
-            raise ValueError(
-                "hedging and work stealing need shared-nothing workers; "
-                "use the process backend"
-            )
-        return ThreadPoolBackend(**pool_kwargs)
     if name == "process":
         return ProcessPoolBackend(
             hedge_multiplier=hedge_multiplier,

@@ -56,12 +56,17 @@ streamed tile can never corrupt a future hit.
 
 The clock is injectable (tests drive it deterministically); it only stamps
 entry metadata — LRU order, not timestamps, decides eviction.
+
+**One owner.**  The cache takes no locks.  It belongs to one
+:class:`~repro.serve.server.RenderServer` and is touched only by the thread
+that drives that server: the caller's thread, or the HTTP edge's driver
+thread, which also answers ``/v1/stats``, ``/v1/metrics`` and submit
+validation (see :mod:`repro.serve.store` for the same contract).
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -192,9 +197,6 @@ class TileCache:
         Monotonic time source stamping entry metadata, injectable for
         deterministic tests.  Eviction is pure LRU order; the clock never
         decides anything.
-
-    Thread-safe: the scheduler is the only writer today, but the HTTP edge
-    snapshots :meth:`stats` from other threads, so every entry point locks.
     """
 
     def __init__(
@@ -210,25 +212,22 @@ class TileCache:
         self._resident_bytes = 0
         self._logical_bytes = 0
         self._stats = TileCacheStats(budget_bytes=budget_bytes)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[np.ndarray]:
         """The cached tile for ``key`` (refreshing its LRU position), or None.
 
         A hit is a fresh read-only array with the inserted tile's exact bytes,
-        shape and dtype.  Entries are immutable, so it is rebuilt outside the
-        lock.
+        shape and dtype.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._stats.hits += 1
-            entry.uses += 1
-            entry.last_used_s = self._clock()
+        entry = self._entries.get(key)
+        if entry is None:
+            self._stats.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self._stats.hits += 1
+        entry.uses += 1
+        entry.last_used_s = self._clock()
         return _unpack(entry)
 
     def put(self, key: str, image: np.ndarray) -> bool:
@@ -243,68 +242,62 @@ class TileCache:
         cannot differ).  An entry whose packed size exceeds the whole budget
         is rejected.
         """
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return True
-            image = np.asarray(image)
-            rows, marks = _pack(image)
-            nbytes = int(rows.nbytes + marks.nbytes)
-            if self.budget_bytes is not None and nbytes > self.budget_bytes:
-                self._stats.rejected_oversize += 1
-                return False
-            now = self._clock()
-            self._entries[key] = _CacheEntry(
-                rows=rows, marks=marks, shape=image.shape, nbytes=nbytes,
-                logical_bytes=int(image.nbytes), inserted_s=now, last_used_s=now,
-            )
-            self._resident_bytes += nbytes
-            self._logical_bytes += int(image.nbytes)
-            self._stats.insertions += 1
-            while (
-                self.budget_bytes is not None
-                and self._resident_bytes > self.budget_bytes
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self._resident_bytes -= evicted.nbytes
-                self._logical_bytes -= evicted.logical_bytes
-                self._stats.evictions += 1
+        if key in self._entries:
+            self._entries.move_to_end(key)
             return True
+        image = np.asarray(image)
+        rows, marks = _pack(image)
+        nbytes = int(rows.nbytes + marks.nbytes)
+        if self.budget_bytes is not None and nbytes > self.budget_bytes:
+            self._stats.rejected_oversize += 1
+            return False
+        now = self._clock()
+        self._entries[key] = _CacheEntry(
+            rows=rows, marks=marks, shape=image.shape, nbytes=nbytes,
+            logical_bytes=int(image.nbytes), inserted_s=now, last_used_s=now,
+        )
+        self._resident_bytes += nbytes
+        self._logical_bytes += int(image.nbytes)
+        self._stats.insertions += 1
+        while (
+            self.budget_bytes is not None
+            and self._resident_bytes > self.budget_bytes
+        ):
+            _, evicted = self._entries.popitem(last=False)
+            self._resident_bytes -= evicted.nbytes
+            self._logical_bytes -= evicted.logical_bytes
+            self._stats.evictions += 1
+        return True
 
     def clear(self) -> None:
         """Drop every entry (counted as evictions)."""
-        with self._lock:
-            self._stats.evictions += len(self._entries)
-            self._entries.clear()
-            self._resident_bytes = 0
-            self._logical_bytes = 0
+        self._stats.evictions += len(self._entries)
+        self._entries.clear()
+        self._resident_bytes = 0
+        self._logical_bytes = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     @property
     def resident_bytes(self) -> int:
-        with self._lock:
-            return self._resident_bytes
+        return self._resident_bytes
 
     def stats(self) -> TileCacheStats:
         """A snapshot of the cache counters (copy — safe to keep)."""
-        with self._lock:
-            snapshot = TileCacheStats(**{
-                f: getattr(self._stats, f)
-                for f in ("hits", "misses", "insertions", "evictions", "rejected_oversize")
-            })
-            snapshot.entries = len(self._entries)
-            snapshot.resident_bytes = self._resident_bytes
-            snapshot.logical_bytes = self._logical_bytes
-            snapshot.budget_bytes = self.budget_bytes
-            return snapshot
+        snapshot = TileCacheStats(**{
+            f: getattr(self._stats, f)
+            for f in ("hits", "misses", "insertions", "evictions", "rejected_oversize")
+        })
+        snapshot.entries = len(self._entries)
+        snapshot.resident_bytes = self._resident_bytes
+        snapshot.logical_bytes = self._logical_bytes
+        snapshot.budget_bytes = self.budget_bytes
+        return snapshot
 
 
 def make_cache(

@@ -13,7 +13,7 @@ multi-tenant front end with submit/poll/result semantics:
   round-robin, so an 800x800 frame never head-of-line-blocks a thumbnail.
 * **Execution** — the server renders nothing itself.  Tiles are submitted to
   an :class:`~repro.serve.backends.ExecutionBackend` (serial by default;
-  thread and shared-nothing process pools for parallel serving) and
+  shared-nothing process pools for parallel serving) and
   completions are collected **in any order** — out-of-order tiles are
   reassembled per job, and partially rendered frames can be streamed to
   callers before the job finishes (``poll(..., include_tiles=True)``).
@@ -220,10 +220,11 @@ class RenderServer:
     ----------
     store:
         The :class:`SceneStore` providing scenes to the scheduler and (for
-        in-process backends) bundles to the workers.
+        the serial backend) bundles to the renderer.  Like the server's tile
+        cache, it is touched only by the thread that drives the server.
     backend:
         Where tiles execute: an :class:`~repro.serve.backends.ExecutionBackend`
-        instance, one of the names ``"serial"`` / ``"thread"`` / ``"process"``,
+        instance, one of the names ``"serial"`` / ``"process"``,
         or ``None`` for the default deterministic serial backend.  The server
         owns the backend — :meth:`close` tears it down.
     max_pending:

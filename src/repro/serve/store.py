@@ -15,13 +15,18 @@ Scenes themselves are shared across the pipelines rendering them, so the
 with it the per-scene VQRF-model cache: one k-means run feeds both).  When
 the last resident pipeline of a scene is evicted, the scene — and every
 compressed model cached on it — is dropped too.
+
+**One owner.**  A store is owned by exactly one thread and takes no locks:
+the scheduler's store by the thread that drives its
+:class:`~repro.serve.server.RenderServer` (the caller's thread, or the HTTP
+edge's driver thread), and each worker shard by its worker process or host
+agent.  No backend shares a store between threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -194,18 +199,6 @@ class SceneStore:
         self._poisoned: set = set()
         #: Memoized bundle fingerprints (pure functions of immutable config).
         self._fingerprints: Dict[StoreKey, str] = {}
-        #: The store is shared between the scheduler (scene-level planning
-        #: reads) and thread-backend workers (bundle builds): this reentrant
-        #: lock serializes every bundle-level entry point.  Builds are
-        #: *meant* to serialize — concurrently compressing the same scene
-        #: twice would waste far more than the lock ever costs.
-        self._lock = threading.RLock()
-        #: The scene cache has its own lock so the scheduler's planning reads
-        #: (:meth:`get_scene` on an already-cached scene) never stall behind
-        #: a worker's multi-second bundle build holding ``_lock``.  Ordering:
-        #: ``_lock`` may be held when taking ``_scene_lock``, never the
-        #: reverse.
-        self._scene_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     def spec(self) -> SceneStoreSpec:
@@ -293,38 +286,6 @@ class SceneStore:
         field through the registry, wraps it in an engine, and evicts
         least-recently-used bundles until budget and entry limits hold again.
         """
-        with self._lock:
-            return self._get_locked(scene_name, pipeline)
-
-    def get_accounted(
-        self, scene_name: str, pipeline: str
-    ) -> Tuple[SceneBundleRecord, bool, float]:
-        """:meth:`get` plus the accounting execution backends report per tile:
-        ``(record, was_resident, build_seconds)``, read atomically under the
-        store lock so concurrent workers cannot misattribute builds."""
-        with self._lock:
-            misses_before = self._stats.misses
-            start = time.perf_counter()
-            record = self._get_locked(scene_name, pipeline)
-            elapsed = time.perf_counter() - start
-            cached = self._stats.misses == misses_before
-            return record, cached, (0.0 if cached else elapsed)
-
-    def poison(self, scene_name: str, pipeline: str) -> None:
-        """Mark one bundle key as failing to build (reproducible chaos).
-
-        Every subsequent :meth:`get` of the key raises
-        :class:`PoisonedBundleError` — exactly where a real corrupt
-        checkpoint or crashing preprocessing step would surface.  An already
-        resident bundle is evicted first, so the poison takes effect
-        immediately rather than hiding behind residency.
-        """
-        key = (scene_name, pipeline)
-        with self._lock:
-            self.evict(key)
-            self._poisoned.add(key)
-
-    def _get_locked(self, scene_name: str, pipeline: str) -> SceneBundleRecord:
         key = (scene_name, pipeline)
         if key in self._poisoned:
             raise PoisonedBundleError(
@@ -347,13 +308,11 @@ class SceneStore:
             # owning it, nothing would ever evict it (it is invisible to the
             # memory budget, which only sums entries).
             if not any(k[0] == scene_name for k in self._entries):
-                with self._scene_lock:
-                    self._scenes.pop(scene_name, None)
+                self._scenes.pop(scene_name, None)
             raise
         engine = RenderEngine(built, scene)
         # Build the occupancy index with the bundle (eagerly, so the first
-        # tile never pays for it and concurrent first-tile workers cannot
-        # race to build it twice) and count it against the memory budget
+        # tile never pays for it) and count it against the memory budget
         # alongside the field it accelerates.
         index = build_occupancy_index(built)
         elapsed = time.perf_counter() - start
@@ -374,6 +333,31 @@ class SceneStore:
         self._evict_to_fit()
         return record
 
+    def get_accounted(
+        self, scene_name: str, pipeline: str
+    ) -> Tuple[SceneBundleRecord, bool, float]:
+        """:meth:`get` plus the accounting execution backends report per tile:
+        ``(record, was_resident, build_seconds)``."""
+        misses_before = self._stats.misses
+        start = time.perf_counter()
+        record = self.get(scene_name, pipeline)
+        elapsed = time.perf_counter() - start
+        cached = self._stats.misses == misses_before
+        return record, cached, (0.0 if cached else elapsed)
+
+    def poison(self, scene_name: str, pipeline: str) -> None:
+        """Mark one bundle key as failing to build (reproducible chaos).
+
+        Every subsequent :meth:`get` of the key raises
+        :class:`PoisonedBundleError` — exactly where a real corrupt
+        checkpoint or crashing preprocessing step would surface.  An already
+        resident bundle is evicted first, so the poison takes effect
+        immediately rather than hiding behind residency.
+        """
+        key = (scene_name, pipeline)
+        self.evict(key)
+        self._poisoned.add(key)
+
     # ------------------------------------------------------------------
     def get_scene(self, scene_name: str) -> SyntheticScene:
         """The scene object alone, loaded (and cached) without building a field.
@@ -389,12 +373,11 @@ class SceneStore:
         catalog should expect residency to track the catalog, not the
         bundle budget.
         """
-        with self._scene_lock:
-            scene = self._scenes.get(scene_name)
-            if scene is None:
-                scene = self._load_scene(scene_name)
-                self._scenes[scene_name] = scene
-            return scene
+        scene = self._scenes.get(scene_name)
+        if scene is None:
+            scene = self._load_scene(scene_name)
+            self._scenes[scene_name] = scene
+        return scene
 
     # ------------------------------------------------------------------
     def _load_scene(self, scene_name: str) -> SyntheticScene:
@@ -417,44 +400,37 @@ class SceneStore:
     # ------------------------------------------------------------------
     def evict(self, key: StoreKey) -> bool:
         """Drop one bundle (and its scene, when no other pipeline uses it)."""
-        with self._lock:
-            record = self._entries.pop(key, None)
-            if record is None:
-                return False
-            self._stats.evictions += 1
-            scene_name = key[0]
-            if not any(k[0] == scene_name for k in self._entries):
-                with self._scene_lock:
-                    self._scenes.pop(scene_name, None)
-            return True
+        record = self._entries.pop(key, None)
+        if record is None:
+            return False
+        self._stats.evictions += 1
+        scene_name = key[0]
+        if not any(k[0] == scene_name for k in self._entries):
+            self._scenes.pop(scene_name, None)
+        return True
 
     def clear(self) -> None:
         """Drop every resident bundle and scene (counted as evictions)."""
-        with self._lock:
-            for key in list(self._entries):
-                self.evict(key)
+        for key in list(self._entries):
+            self.evict(key)
 
     # ------------------------------------------------------------------
     def contains(self, scene_name: str, pipeline: str) -> bool:
-        with self._lock:
-            return (scene_name, pipeline) in self._entries
+        return (scene_name, pipeline) in self._entries
 
     def resident_keys(self) -> Tuple[StoreKey, ...]:
         """Resident keys in LRU order (least recently used first)."""
-        with self._lock:
-            return tuple(self._entries)
+        return tuple(self._entries)
 
     def resident_bytes(self) -> int:
-        with self._lock:
-            return sum(record.memory_bytes for record in self._entries.values())
+        return sum(record.memory_bytes for record in self._entries.values())
 
     def stats(self) -> SceneStoreStats:
         """A snapshot of the store counters (copy — safe to keep)."""
-        with self._lock:
-            snapshot = SceneStoreStats(**{
-                f: getattr(self._stats, f)
-                for f in ("hits", "misses", "evictions", "build_time_s")
-            })
-            snapshot.resident_entries = len(self._entries)
-            snapshot.resident_bytes = self.resident_bytes()
-            return snapshot
+        snapshot = SceneStoreStats(**{
+            f: getattr(self._stats, f)
+            for f in ("hits", "misses", "evictions", "build_time_s")
+        })
+        snapshot.resident_entries = len(self._entries)
+        snapshot.resident_bytes = self.resident_bytes()
+        return snapshot

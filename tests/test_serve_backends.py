@@ -3,7 +3,7 @@
 Covers what the backend refactor added on top of the scheduler tests in
 ``test_serve.py``:
 
-* backends — the Serial/ThreadPool/ProcessPool contract: lifecycle,
+* backends — the Serial/ProcessPool contract: lifecycle,
   capacity, sticky ``(scene, pipeline)`` affinity, task picklability;
 * cross-backend bit-identity — the acceptance invariant: the same frame,
   served under every backend, is byte-equal for every built-in pipeline;
@@ -38,7 +38,6 @@ from repro.serve import (
     SceneStore,
     SceneStoreSpec,
     SerialBackend,
-    ThreadPoolBackend,
     TileResult,
     TileTask,
     make_backend,
@@ -126,14 +125,15 @@ def test_plan_tiles_rejects_non_integer_inputs():
 
 def test_make_backend_names_and_validation():
     assert isinstance(make_backend("serial"), SerialBackend)
-    assert isinstance(make_backend("thread", num_workers=2), ThreadPoolBackend)
     assert isinstance(make_backend("process", num_workers=2), ProcessPoolBackend)
     with pytest.raises(ValueError, match="unknown backend"):
         make_backend("gpu-cluster")
+    with pytest.raises(ValueError, match="unknown backend"):
+        make_backend("thread")
     with pytest.raises(ValueError, match="num_workers"):
-        ThreadPoolBackend(num_workers=0)
+        ProcessPoolBackend(num_workers=0)
     with pytest.raises(ValueError, match="queue_depth"):
-        ThreadPoolBackend(num_workers=1, queue_depth=0)
+        ProcessPoolBackend(num_workers=1, queue_depth=0)
 
 
 def test_backend_lifecycle_is_guarded(warm_store):
@@ -158,7 +158,7 @@ def test_tile_task_and_result_are_picklable():
 
 
 def test_pool_affinity_is_sticky_and_balanced():
-    backend = ThreadPoolBackend(num_workers=3)
+    backend = ProcessPoolBackend(num_workers=3)  # routing needs no started workers
     keys = [(f"scene-{i}", pipe) for i in range(3) for pipe in ("dense", "spnerf")]
     first = {key: backend.worker_for(key) for key in keys}
     # Sticky: repeated lookups never move a key.
@@ -171,7 +171,7 @@ def test_pool_affinity_is_sticky_and_balanced():
 def test_pool_capacity_is_tracked_per_worker():
     """A hot key backlogging its sticky worker must not stop dispatch for
     keys routed to idle workers."""
-    backend = ThreadPoolBackend(num_workers=2, queue_depth=2)
+    backend = ProcessPoolBackend(num_workers=2, queue_depth=2)
     backend._inflight_per_worker = [2, 0]  # worker 0 saturated, worker 1 idle
     assert backend.has_capacity()
     backend._inflight_per_worker = [2, 2]
@@ -180,7 +180,7 @@ def test_pool_capacity_is_tracked_per_worker():
 
 def test_pool_can_accept_is_per_key():
     """A key whose sticky worker is at depth defers; other keys still go."""
-    backend = ThreadPoolBackend(num_workers=2, queue_depth=1)
+    backend = ProcessPoolBackend(num_workers=2, queue_depth=1)
     hot, cold = ("hot-scene", "dense"), ("cold-scene", "dense")
     backend._inflight_per_worker[backend.worker_for(hot)] = 1
     assert not backend.can_accept(hot)
@@ -199,7 +199,7 @@ def test_execute_tile_reports_errors_as_results(warm_store):
 # Cross-backend bit-identity (the acceptance invariant)
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
 def test_served_frames_bit_identical_across_backends(backend_name, direct_frames):
     """Every built-in pipeline, served under every backend, must produce a
     frame byte-equal to the direct RenderEngine render.  Process workers
@@ -220,7 +220,7 @@ def test_served_frames_bit_identical_across_backends(backend_name, direct_frames
             )
 
 
-@pytest.mark.parametrize("backend_name", ["thread", "process"])
+@pytest.mark.parametrize("backend_name", ["process"])
 def test_pool_backends_full_lifecycle(backend_name):
     """Priorities, failure isolation and telemetry under a real pool."""
     store = make_store()

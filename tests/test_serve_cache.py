@@ -16,7 +16,7 @@ This suite proves:
   intrinsics, span, knobs) and to nothing else; differently configured
   stores never share bundle fingerprints;
 * **scheduler integration** — cache hits skip the backend and stay
-  bit-identical to direct renders under serial, thread *and* process
+  bit-identical to direct renders under the serial *and* process
   backends; identical in-flight tiles across concurrent jobs collapse into
   one dispatch; the cache knobs validate like the backend knobs;
 * **telemetry + tracing** — hit/dedupe counters flow through
@@ -306,7 +306,7 @@ def test_bundle_fingerprint_distinguishes_store_configuration():
 # Scheduler integration: hits, dedupe, knobs
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_cache_hits_are_bit_identical_under_every_backend(backend):
     """A frame served from the cache must be the exact bytes the backend
     would have produced — under every backend, including process workers."""
@@ -367,7 +367,7 @@ def test_identical_inflight_tiles_dedupe_across_jobs():
         camera_indices=(0,), chunk_size=TILE
     ).image
     with RenderServer(
-        store, backend="thread", default_tile_size=TILE, cache="lru"
+        store, backend="process", default_tile_size=TILE, cache="lru"
     ) as server:
         jobs = [server.submit("lego", "dense") for _ in range(2)]
         server.run_until_idle()
@@ -488,7 +488,7 @@ def test_cache_hit_traces_record_origin_and_events():
 def test_deduped_jobs_carry_flow_links_in_chrome_export():
     store = make_store()
     with RenderServer(
-        store, backend="thread", default_tile_size=TILE, cache="lru"
+        store, backend="process", default_tile_size=TILE, cache="lru"
     ) as server:
         jobs = [server.submit("lego", "dense") for _ in range(2)]
         server.run_until_idle()

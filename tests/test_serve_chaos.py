@@ -16,8 +16,8 @@ safe by construction.  This suite stages reproducible disasters with
   onto a healthy one; first completion wins, the loser is dropped;
 * **work stealing** — a hot key migrates off a saturated shard to an idle
   one, at a bounded rate;
-* **teardown** — close() with work in flight leaks no threads and never
-  hangs on a dead worker's queue;
+* **teardown** — close() with work in flight never hangs on a dead
+  worker's queue;
 * **telemetry** — the respawn/redispatch/hedge/steal counters flow through
   ``ServerStats.as_dict()`` and ``GET /v1/stats``, and stay zero on the
   serial backend.
@@ -40,7 +40,6 @@ from repro.serve import (
     ProcessPoolBackend,
     RenderServer,
     SceneStore,
-    ThreadPoolBackend,
     TileTask,
     closed_loop_workload,
     make_backend,
@@ -104,9 +103,6 @@ def test_make_backend_passes_through_elasticity_knobs():
     # queue_depth is validated wherever it enters.
     with pytest.raises(ValueError, match="queue_depth"):
         make_backend("process", num_workers=2, queue_depth=0)
-    with pytest.raises(ValueError, match="queue_depth"):
-        make_backend("thread", num_workers=2, queue_depth=-3)
-    assert make_backend("thread", queue_depth=4).queue_depth == 4
 
 
 def test_make_backend_refuses_unsupported_knobs():
@@ -114,10 +110,6 @@ def test_make_backend_refuses_unsupported_knobs():
         make_backend("serial", queue_depth=4)
     with pytest.raises(ValueError, match="serial"):
         make_backend("serial", fault_plan=FaultPlan(delay_worker=0, delay_s=0.1))
-    with pytest.raises(ValueError, match="process backend"):
-        make_backend("thread", hedge_multiplier=2.0)
-    with pytest.raises(ValueError, match="process backend"):
-        ThreadPoolBackend(num_workers=2, fault_plan=FaultPlan(kill_worker=0))
     with pytest.raises(ValueError, match="hedge_multiplier"):
         ProcessPoolBackend(num_workers=2, hedge_multiplier=0.0)
     with pytest.raises(ValueError, match="steal_interval_s"):
@@ -396,18 +388,6 @@ def test_stealing_disabled_by_default():
 # ----------------------------------------------------------------------
 # Teardown under fire (satellite: close() drains, never hangs, no leaks)
 # ----------------------------------------------------------------------
-
-def test_thread_backend_close_with_in_flight_work_leaks_no_threads():
-    store = make_store()
-    backend = ThreadPoolBackend(num_workers=2)
-    backend.start(store)
-    for index in range(8):
-        backend.submit(TileTask("job-x", index, "lego", "dense", 0, index * 72, (index + 1) * 72))
-    start = time.monotonic()
-    backend.close()
-    assert time.monotonic() - start < 10.0
-    assert all(not thread.is_alive() for thread in backend._threads)
-
 
 def test_process_backend_close_with_dead_worker_does_not_hang():
     """A worker that died with backlog in its queue must not wedge close()

@@ -25,6 +25,8 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
+import inspect
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.api import PipelineConfig, SpNeRFConfig, register_pipeline, unregiste
 from repro.nerf.renderer import DenseGridField
 from repro.serve import Priority, RenderServer, SceneStore, orbit_workload
 from repro.serve.backends import ProcessPoolBackend
+from repro.serve.cache import TileCache
 from repro.serve.http import (
     DeficitRoundRobin,
     HttpRenderFrontEnd,
@@ -536,6 +539,73 @@ def test_shutdown_with_open_streams_drains_cleanly(store):
     finally:
         edge.shutdown()
         server.close()
+
+
+# ----------------------------------------------------------------------
+# Ownership: one thread touches the store and the cache
+# ----------------------------------------------------------------------
+
+def _record_calling_threads(monkeypatch, cls, owner, calls):
+    """Wrap every public method (and property) of ``cls`` so a call on
+    ``owner`` appends ``(name, threading.get_ident())`` to ``calls``."""
+
+    def wrap(name, fn):
+        def recorded(self, *args, **kwargs):
+            if self is owner:
+                calls.append((name, threading.get_ident()))
+            return fn(self, *args, **kwargs)
+
+        return recorded
+
+    for name, attr in vars(cls).items():
+        if name.startswith("_") and name not in ("__len__", "__contains__"):
+            continue
+        if isinstance(attr, property):
+            monkeypatch.setattr(cls, name, property(wrap(name, attr.fget)))
+        elif inspect.isfunction(attr):
+            monkeypatch.setattr(cls, name, wrap(name, attr))
+
+
+def test_store_and_cache_are_touched_only_by_the_driver_thread(monkeypatch):
+    """SceneStore and TileCache take no locks: every call on them, from
+    submit, SSE streaming, polling, results, /v1/stats and /v1/metrics,
+    must come from the edge's one driver thread."""
+    fresh = SceneStore(config=SERVE_CONFIG, scene_kwargs=dict(SCENE_KWARGS))
+    server = RenderServer(fresh, cache="lru", default_tile_size=144)
+    edge = HttpRenderFrontEnd(server)
+    host, port = edge.run_in_thread()
+    calls = []
+    _record_calling_threads(monkeypatch, SceneStore, fresh, calls)
+    _record_calling_threads(monkeypatch, TileCache, server.cache, calls)
+    try:
+
+        async def scenario():
+            async with RenderClient(host, port) as client:
+                async for event, _ in client.stream(
+                    submit={"scene": "lego", "pipeline": "dense"}
+                ):
+                    pass
+                assert event == "done"
+                submitted = await client.submit(scene="lego", pipeline="dense")
+                job_id = submitted.json()["job_id"]
+                assert (await client.wait(job_id))["state"] == "done"
+                assert (await client.poll(job_id)).status == 200
+                assert (await client.result(job_id)).status == 200
+                stats = await client.stats()
+                metrics = await client.request("GET", "/v1/metrics")
+                assert metrics.status == 200
+            return stats
+
+        stats = run(scenario())
+        driver = edge._driver.submit(threading.get_ident).result()
+    finally:
+        edge.shutdown()
+        server.close()
+    assert stats["server"]["cache_hits"] > 0  # the second frame hit the cache
+    names = {name for name, _ in calls}
+    assert {"get_scene", "bundle_fingerprint", "get", "put", "stats"} <= names
+    assert {ident for _, ident in calls} == {driver}
+    assert driver != threading.get_ident()
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,6 @@ from repro.serve import (
     RemoteBackend,
     RenderServer,
     SceneStore,
-    ThreadPoolBackend,
     TileResult,
     TileTask,
     TornFrameError,
@@ -153,7 +152,7 @@ def test_garbage_framing_is_a_torn_frame_not_an_unpickle():
 # ----------------------------------------------------------------------
 
 def test_remote_knobs_are_refused_on_in_process_backends():
-    for name in ("serial", "thread", "process"):
+    for name in ("serial", "process"):
         with pytest.raises(ValueError, match=rf"{name} backend does not support"):
             make_backend(name, hosts=["127.0.0.1:7000"])
         with pytest.raises(ValueError, match="heartbeat_interval_s"):
@@ -191,8 +190,6 @@ def test_network_faults_are_refused_on_in_process_pools():
     plan = FaultPlan(drop_host=0)
     with pytest.raises(ValueError, match="remote backend"):
         ProcessPoolBackend(num_workers=2, fault_plan=plan)
-    with pytest.raises(ValueError, match="remote backend"):
-        ThreadPoolBackend(num_workers=2, fault_plan=FaultPlan(partition_host=1))
     with pytest.raises(ValueError, match="remote backend"):
         make_backend("process", num_workers=2,
                      fault_plan=FaultPlan(delay_host=0, delay_host_s=0.1))
