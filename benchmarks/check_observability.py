@@ -333,7 +333,9 @@ def validate_job_trace(doc: dict, job_id: str) -> List[str]:
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--backend", default="serial", choices=sorted(BACKEND_NAMES))
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument(
+        "--workers", type=int, default=None, help="process-pool worker count (default: auto)"
+    )
     parser.add_argument("--jobs", type=int, default=4, help="render jobs to trace")
     parser.add_argument(
         "--artifact", type=Path, default=DEFAULT_ARTIFACT,

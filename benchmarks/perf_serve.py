@@ -296,9 +296,10 @@ def scheduling_backend(
 ):
     """Build the backend for a benchmark section.
 
-    The in-process backends take a worker count; the remote backend sizes
-    itself from the loopback cluster's addresses instead (``workers`` is
-    ignored there — host count is ``--num-hosts``).
+    Only the process backend takes a worker count and queue depth (the
+    serial backend refuses both); the remote backend sizes itself from the
+    loopback cluster's addresses instead (``workers`` is ignored there —
+    host count is ``--num-hosts``).
     """
     if name == "remote":
         if cluster is None:
@@ -309,8 +310,9 @@ def scheduling_backend(
         return make_backend(
             "remote", hosts=cluster.addresses, fault_plan=fault_plan, **kwargs
         )
-    depth = queue_depth if name != "serial" else None
-    return make_backend(name, workers, queue_depth=depth, fault_plan=fault_plan)
+    if name == "process":
+        return make_backend(name, workers, queue_depth=queue_depth, fault_plan=fault_plan)
+    return make_backend(name, fault_plan=fault_plan)  # serial takes no worker count or queue
 
 
 def check_bit_identity(
@@ -368,8 +370,7 @@ def run_backend_comparison(
     items = closed_loop_workload(scenes, pipelines, config["requests"], seed=config["seed"])
     comparison = {}
     for backend_name in ("serial", "process"):
-        depth = queue_depth if backend_name != "serial" else None
-        backend = make_backend(backend_name, workers, queue_depth=depth)
+        backend = scheduling_backend(backend_name, workers, queue_depth=queue_depth)
         concurrency = max(config["concurrency"], 2 * backend.num_workers)
         with RenderServer(
             store, backend=backend, default_tile_size=config["tile_size"]

@@ -34,7 +34,9 @@ def main() -> None:
     parser.add_argument(
         "--backend", choices=BACKEND_NAMES, default="serial", help="execution backend"
     )
-    parser.add_argument("--workers", type=int, default=2, help="pool worker count")
+    parser.add_argument(
+        "--workers", type=int, default=None, help="process-pool worker count (default: auto)"
+    )
     parser.add_argument("--jobs", type=int, default=4, help="jobs to render and trace")
     parser.add_argument(
         "--output", type=Path, default=Path("trace.json"),

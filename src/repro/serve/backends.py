@@ -42,8 +42,9 @@ three ways, all driven from a supervision sweep that runs on every
 
 * **supervision + respawn** — a dead worker process is replaced by a fresh
   one rebuilt from the picklable :class:`~repro.serve.store.SceneStoreSpec`,
-  and every tile that was resident on the dead shard is re-dispatched to the
-  replacement (``worker_respawns`` / ``redispatched_tiles``);
+  and every tile that was resident on the dead shard is re-dispatched where
+  its key's affinity now points, normally the replacement
+  (``worker_respawns`` / ``redispatched_tiles``);
 * **speculative hedging** — a tile in flight longer than a configurable
   multiple of its key's observed p95 service time is duplicated onto the
   least-loaded other worker; the first completion wins and the loser is
@@ -60,9 +61,13 @@ faults only the remote backend can suffer), threaded through
 A third backend crosses the host boundary:
 :class:`~repro.serve.remote.RemoteBackend` (in :mod:`repro.serve.remote`)
 speaks the same ``TileTask``/``TileResult`` contract to
-:class:`~repro.serve.remote.RemoteHostAgent` processes over TCP, reusing
-this module's affinity routing and outstanding-tile table — supervision and
-re-dispatch transfer unchanged once a socket replaces the fork + queue pair.
+:class:`~repro.serve.remote.RemoteHostAgent` processes over TCP.  Both it
+and the process pool run one routing core (:class:`_PoolBackend`): affinity,
+the outstanding-tile table, collection and the re-routing of a lost
+worker's tiles.  Each supplies only its transport (send a task, poll for
+results, say which workers are live, hold a tile no worker can take), so
+supervision and re-dispatch transfer unchanged once a socket replaces the
+fork + queue pair.
 """
 
 from __future__ import annotations
@@ -469,18 +474,24 @@ def _drain_queue(q) -> None:
 
 
 class _PoolBackend(ExecutionBackend):
-    """Shared plumbing of the worker-pool backends.
+    """The routing and failover core shared by the worker-pool backends.
 
-    Each worker owns an input queue; one output queue fans completions back
-    in.  Routing is by sticky ``(scene, pipeline)`` affinity — first touch
-    picks the worker with the fewest assigned keys — so bundles are resident
+    Routing is by sticky ``(scene, pipeline)`` affinity — first touch picks
+    the live worker with the fewest assigned keys — so bundles are resident
     exactly once across the pool and never rendered concurrently.
 
     Every in-flight tile is tracked in an ``_outstanding`` table keyed by
-    ``(job_id, tile_index)``: the supervisor reads it to know which tiles
-    were resident on a dead worker, and completions that resolve an
+    ``(job_id, tile_index)``: :meth:`_worker_lost` reads it to re-route the
+    tiles a lost worker held, and completions that resolve an
     already-resolved entry (hedge losers, re-dispatch echoes) are flagged
     ``duplicate`` so nothing is ever double-counted.
+
+    A subclass supplies the transport through four hooks: :meth:`_send`
+    (hand one task to one worker), :meth:`_poll` (raw arrivals, waiting up
+    to a timeout), :meth:`_is_live`/:meth:`_live_workers` (who can take a
+    tile now) and :meth:`_strand` (what to do with a tile when no worker
+    is live), plus its :meth:`_supervise` sweep, which calls
+    :meth:`_worker_lost` for every worker it finds gone.
     """
 
     def __init__(
@@ -513,8 +524,8 @@ class _PoolBackend(ExecutionBackend):
         self._key_dispatches: Dict[Tuple[str, str], int] = {}
         #: In-flight tiles by ``(job_id, tile_index)``.
         self._outstanding: Dict[Tuple[str, int], _Dispatch] = {}
-        self._task_queues: list = []
-        self._result_queue = None
+        #: Outstanding tiles that also have a speculative copy in flight.
+        self._hedges_in_flight = 0
 
     def _start(self, store: SceneStore) -> None:
         self._affinity = {}
@@ -522,10 +533,8 @@ class _PoolBackend(ExecutionBackend):
         self._inflight_per_worker = [0] * self.num_workers
         self._key_dispatches = {}
         self._outstanding = {}
+        self._hedges_in_flight = 0
         self._launch(store)
-
-    def _launch(self, store: SceneStore) -> None:
-        raise NotImplementedError
 
     def _max_in_flight(self) -> int:
         return self.num_workers * self.queue_depth
@@ -545,10 +554,12 @@ class _PoolBackend(ExecutionBackend):
         return self._inflight_per_worker[self.worker_for(key)] < self.queue_depth
 
     def worker_for(self, key: Tuple[str, str]) -> int:
-        """The sticky worker assignment of one ``(scene, pipeline)`` key."""
+        """The sticky worker of one ``(scene, pipeline)`` key; first touch
+        picks the live worker with the fewest keys."""
         worker = self._affinity.get(key)
         if worker is None:
-            worker = min(range(self.num_workers), key=lambda i: self._keys_per_worker[i])
+            candidates = self._live_workers() or range(self.num_workers)
+            worker = min(candidates, key=lambda i: self._keys_per_worker[i])
             self._affinity[key] = worker
             self._keys_per_worker[worker] += 1
         return worker
@@ -556,36 +567,79 @@ class _PoolBackend(ExecutionBackend):
     def _submit(self, task: TileTask) -> None:
         worker = self.worker_for(task.key)
         self._key_dispatches[task.key] = self._key_dispatches.get(task.key, 0) + 1
-        self._outstanding[(task.job_id, task.tile_index)] = _Dispatch(
-            task=task, worker=worker, dispatched_at=time.monotonic()
-        )
-        self._inflight_per_worker[worker] += 1
-        self._task_queues[worker].put(task)
+        dispatch = _Dispatch(task=task, worker=worker, dispatched_at=time.monotonic())
+        self._outstanding[(task.job_id, task.tile_index)] = dispatch
+        self._route(dispatch, redispatch=False)
+        self._inflight_per_worker[dispatch.worker] += 1
+
+    def _route(self, dispatch: _Dispatch, redispatch: bool) -> None:
+        """Send one outstanding tile where its key lives now.
+
+        The key's affinity moves to the least-loaded live worker when its
+        owner is down; with no live worker the tile is handed to
+        :meth:`_strand`.  A ``redispatch`` is counted and emitted.
+        """
+        task = dispatch.task
+        owner = self._affinity.get(task.key, dispatch.worker)
+        live = self._is_live(owner)
+        if not live:
+            candidates = self._live_workers()
+            if candidates:
+                target = min(candidates, key=lambda i: self._keys_per_worker[i])
+                self._affinity[task.key] = target
+                self._keys_per_worker[owner] = max(0, self._keys_per_worker[owner] - 1)
+                self._keys_per_worker[target] += 1
+                owner, live = target, True
+        dispatch.worker = owner
+        dispatch.dispatched_at = time.monotonic()
+        if not live:
+            self._strand(dispatch)
+            return
+        self._send(owner, task)
+        if redispatch:
+            self.redispatched_tiles += 1
+            self._emit("redispatched", job_id=task.job_id, tile=task.tile_index, worker=owner)
+
+    def _worker_lost(self, worker: int) -> None:
+        """Re-route every tile the lost ``worker`` held.
+
+        A hedge copy on the lost worker is forgotten (its primary is still
+        out there); a tile whose primary was lost but whose hedge copy is
+        live is promoted to that copy without a resend; everything else is
+        routed again.
+        """
+        for dispatch in self._outstanding.values():
+            if dispatch.hedge_worker == worker:
+                dispatch.hedge_worker = None
+                self._hedges_in_flight -= 1
+            if dispatch.worker != worker:
+                continue
+            if dispatch.hedge_worker is not None:
+                dispatch.worker, dispatch.hedge_worker = dispatch.hedge_worker, None
+                self._hedges_in_flight -= 1
+            else:
+                self._route(dispatch, redispatch=True)
+        self._recount_inflight()
+
+    def _recount_inflight(self) -> None:
+        """Per-worker loads recomputed from the routing table, hedge copies
+        included (results a lost worker flushed before dying resolve their
+        entries on arrival)."""
+        loads = [0] * self.num_workers
+        for dispatch in self._outstanding.values():
+            loads[dispatch.worker] += 1
+            if dispatch.hedge_worker is not None:
+                loads[dispatch.hedge_worker] += 1
+        self._inflight_per_worker = loads
 
     def _collect(self, block: bool, timeout: Optional[float]) -> List[TileResult]:
-        assert self._result_queue is not None
-        # Supervise on EVERY collect — a dead worker must not hide behind a
-        # result queue kept full by the surviving workers.
+        # Supervise on EVERY collect — a dead worker must not hide behind
+        # results the surviving workers keep producing.
         self._supervise()
-        results = self._drain_results()
-        if block and not results:
-            try:
-                first = self._result_queue.get(
-                    timeout=timeout if timeout is not None else _COLLECT_BLOCK_S
-                )
-            except queue_lib.Empty:
-                return results  # nothing finished in time; the caller re-steps
-            results = self._ingest([first])
-            results.extend(self._drain_results())  # whatever else finished meanwhile
-        return results
-
-    def _drain_results(self) -> List[TileResult]:
-        raw: List[TileResult] = []
-        while True:
-            try:
-                raw.append(self._result_queue.get_nowait())
-            except queue_lib.Empty:
-                break
+        raw = self._poll(0.0)
+        if block and not raw:
+            # Nothing finished yet: wait once; on expiry the caller re-steps.
+            raw = self._poll(timeout if timeout is not None else _COLLECT_BLOCK_S)
         return self._ingest(raw)
 
     def _ingest(self, raw: List[TileResult]) -> List[TileResult]:
@@ -595,18 +649,58 @@ class _PoolBackend(ExecutionBackend):
             if dispatch is None:
                 result.duplicate = True
             else:
+                if dispatch.hedge_worker is not None:
+                    # The losing copy still occupies its worker until its
+                    # echo arrives, but the *pair* is settled.
+                    self._hedges_in_flight -= 1
                 self._resolved(dispatch, result)
             if 0 <= result.worker_id < self.num_workers:
                 if self._inflight_per_worker[result.worker_id] > 0:
                     self._inflight_per_worker[result.worker_id] -= 1
         return raw
 
+    # -- subclass hooks -------------------------------------------------
+    def _launch(self, store: SceneStore) -> None:
+        raise NotImplementedError
+
     def _resolved(self, dispatch: _Dispatch, result: TileResult) -> None:
-        """First completion of an outstanding tile (subclass hook)."""
+        """First completion of an outstanding tile."""
 
     def _supervise(self) -> None:
-        """Detect and repair dead workers (runs on every collect)."""
+        """Detect lost workers (runs on every collect) and call
+        :meth:`_worker_lost` for each."""
         raise NotImplementedError
+
+    def _send(self, worker: int, task: TileTask) -> None:
+        """Hand one task to one live worker."""
+        raise NotImplementedError
+
+    def _poll(self, timeout: float) -> List[TileResult]:
+        """Raw arrivals, waiting up to ``timeout`` seconds for the first."""
+        raise NotImplementedError
+
+    def _is_live(self, worker: int) -> bool:
+        return True
+
+    def _live_workers(self) -> List[int]:
+        return list(range(self.num_workers))
+
+    def _strand(self, dispatch: _Dispatch) -> None:
+        """Hold a tile no live worker can take (only reached when
+        :meth:`_is_live` can say no)."""
+        raise NotImplementedError
+
+
+def _build_shard(
+    spec, fault_plan: Optional[FaultPlan], shard_index: int = 0, num_shards: int = 1
+) -> SceneStore:
+    """One worker's store shard from the parent's spec, with the plan's
+    poisoned bundle applied — what every pool worker, host agent and the
+    remote fallback shard render from."""
+    store = SceneStore.from_spec(spec, shard_index=shard_index, num_shards=num_shards)
+    if fault_plan is not None and fault_plan.poison_key is not None:
+        store.poison(*fault_plan.poison_key)
+    return store
 
 
 def _process_worker(worker_id, spec, num_shards, task_queue, result_queue, fault_plan=None) -> None:
@@ -618,9 +712,7 @@ def _process_worker(worker_id, spec, num_shards, task_queue, result_queue, fault
     except when a :class:`FaultPlan` deliberately crashes this worker, which
     is what the supervisor exists to survive.
     """
-    store = SceneStore.from_spec(spec, shard_index=worker_id, num_shards=num_shards)
-    if fault_plan is not None and fault_plan.poison_key is not None:
-        store.poison(*fault_plan.poison_key)
+    store = _build_shard(spec, fault_plan, shard_index=worker_id, num_shards=num_shards)
     tiles_taken = 0
     while True:
         task = task_queue.get()
@@ -712,7 +804,8 @@ class ProcessPoolBackend(_PoolBackend):
         self._spec = None
         self._ctx = None
         self._processes: list = []
-        self._hedges_in_flight = 0
+        self._task_queues: list = []
+        self._result_queue = None
         self._service_samples: Dict[Tuple[str, str], Deque[float]] = {}
         self._all_samples: Deque[float] = deque(maxlen=256)
         self._last_steal: Optional[float] = None
@@ -725,7 +818,6 @@ class ProcessPoolBackend(_PoolBackend):
         self._result_queue = self._ctx.Queue()
         self._task_queues = []
         self._processes = []
-        self._hedges_in_flight = 0
         self._service_samples = {}
         self._all_samples = deque(maxlen=256)
         self._last_steal = None
@@ -780,6 +872,20 @@ class ProcessPoolBackend(_PoolBackend):
         self._outstanding.clear()
         self._hedges_in_flight = 0
 
+    # -- transport ------------------------------------------------------
+    def _send(self, worker: int, task: TileTask) -> None:
+        self._task_queues[worker].put(task)
+
+    def _poll(self, timeout: float) -> List[TileResult]:
+        raw: List[TileResult] = []
+        try:
+            if timeout > 0:
+                raw.append(self._result_queue.get(timeout=timeout))
+            while True:
+                raw.append(self._result_queue.get_nowait())
+        except queue_lib.Empty:
+            return raw
+
     # -- elasticity -----------------------------------------------------
     def maintain(self) -> None:
         if not self._started:
@@ -811,42 +917,9 @@ class ProcessPoolBackend(_PoolBackend):
         self._processes[worker_id] = process
         self.worker_respawns += 1
         self._emit("respawn", worker=worker_id)
-        now = time.monotonic()
-        for dispatch in self._outstanding.values():
-            if dispatch.hedge_worker == worker_id:
-                # The hedge copy died; the primary is still out there.
-                dispatch.hedge_worker = None
-                self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
-            if dispatch.worker == worker_id:
-                if dispatch.hedge_worker is not None:
-                    # A live hedge already covers this tile: promote it.
-                    dispatch.worker = dispatch.hedge_worker
-                    dispatch.hedge_worker = None
-                    self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
-                else:
-                    task_queue.put(dispatch.task)
-                    dispatch.dispatched_at = now
-                    self.redispatched_tiles += 1
-                    self._emit(
-                        "redispatched",
-                        job_id=dispatch.task.job_id,
-                        tile=dispatch.task.tile_index,
-                        worker=worker_id,
-                    )
-        # Loads recomputed from the surviving routing table (results the dead
-        # worker flushed before dying resolve their entries on arrival).
-        loads = [0] * self.num_workers
-        for dispatch in self._outstanding.values():
-            loads[dispatch.worker] += 1
-            if dispatch.hedge_worker is not None:
-                loads[dispatch.hedge_worker] += 1
-        self._inflight_per_worker = loads
+        self._worker_lost(worker_id)
 
     def _resolved(self, dispatch: _Dispatch, result: TileResult) -> None:
-        if dispatch.hedge_worker is not None:
-            # The losing copy still occupies its worker until its echo
-            # arrives, but the *pair* is settled — free the hedge budget.
-            self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
         if result.error is None and result.service_s > 0:
             key = dispatch.task.key
             samples = self._service_samples.get(key)
@@ -873,7 +946,7 @@ class ProcessPoolBackend(_PoolBackend):
             )
             dispatch.hedge_worker = target
             self._inflight_per_worker[target] += 1
-            self._task_queues[target].put(dispatch.task)
+            self._send(target, dispatch.task)
             self._hedges_in_flight += 1
             self.hedged_tiles += 1
             self._emit(
@@ -917,98 +990,53 @@ class ProcessPoolBackend(_PoolBackend):
         self._emit("stolen", scene=key[0], pipeline=key[1], src=hot, dst=cold)
 
 
+#: The knobs each backend honours, by the name :func:`make_backend` takes.
+_BACKEND_KNOBS: Dict[str, Tuple[str, ...]] = {
+    "serial": (),
+    "process": (
+        "num_workers", "queue_depth", "fault_plan", "hedge_multiplier", "steal_interval_s",
+    ),
+    "remote": (
+        "hosts", "queue_depth", "fault_plan", "heartbeat_interval_s", "heartbeat_timeout_s",
+        "dispatch_timeout_s", "connect_timeout_s", "backoff_base_s", "backoff_max_s",
+        "local_fallback",
+    ),
+}
+
 #: Backend names :func:`make_backend` (and the benchmark CLI) accept.
-BACKEND_NAMES = ("serial", "process", "remote")
+BACKEND_NAMES = tuple(_BACKEND_KNOBS)
 
 
-def make_backend(
-    name: str,
-    num_workers: Optional[int] = None,
-    queue_depth: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    hedge_multiplier: Optional[float] = None,
-    steal_interval_s: Optional[float] = None,
-    hosts=None,
-    heartbeat_interval_s: Optional[float] = None,
-    heartbeat_timeout_s: Optional[float] = None,
-    dispatch_timeout_s: Optional[float] = None,
-    connect_timeout_s: Optional[float] = None,
-    backoff_base_s: Optional[float] = None,
-    backoff_max_s: Optional[float] = None,
-    local_fallback: Optional[bool] = None,
-) -> ExecutionBackend:
+def make_backend(name: str, num_workers: Optional[int] = None, **knobs) -> ExecutionBackend:
     """Construct a backend by name.
 
-    ``num_workers`` and ``queue_depth`` configure the pool backends (each
-    validates its own range); ``fault_plan`` injects reproducible failures
-    into a pool (kill is process-only; network faults are remote-only);
-    ``hedge_multiplier`` and ``steal_interval_s`` enable speculative
-    re-dispatch and work stealing on the process pool.  ``hosts`` plus the
-    heartbeat/backoff/timeout/fallback knobs configure the remote backend
-    (see :class:`~repro.serve.remote.RemoteBackend`), which sizes itself
-    from the host list.  Every backend refuses knobs it cannot honor —
-    asking the serial backend for a fault plan, a pool for a heartbeat, or
-    the remote backend for hedging is an error, not a silent no-op.
+    ``num_workers``, ``queue_depth``, ``fault_plan`` (kill is process-only;
+    network faults are remote-only), ``hedge_multiplier`` and
+    ``steal_interval_s`` configure the process pool; ``hosts`` plus the
+    queue, fault-plan, heartbeat, timeout, backoff and fallback knobs
+    configure the remote backend (see
+    :class:`~repro.serve.remote.RemoteBackend`), which sizes itself from the
+    host list.  A knob left ``None`` is not given.  Every backend refuses a
+    knob it does not honour (``_BACKEND_KNOBS``): asking the serial backend
+    for workers, a pool for a heartbeat, or the remote backend for hedging
+    is an error, not a silent no-op.  Each backend validates the ranges.
     """
-    remote_only = {
-        "hosts": hosts,
-        "heartbeat_interval_s": heartbeat_interval_s,
-        "heartbeat_timeout_s": heartbeat_timeout_s,
-        "dispatch_timeout_s": dispatch_timeout_s,
-        "connect_timeout_s": connect_timeout_s,
-        "backoff_base_s": backoff_base_s,
-        "backoff_max_s": backoff_max_s,
-        "local_fallback": local_fallback,
-    }
-    if name in ("serial", "process"):
-        refused = sorted(knob for knob, value in remote_only.items() if value is not None)
-        if refused:
-            raise ValueError(
-                f"the {name} backend does not support the remote-only "
-                f"knob(s): {', '.join(refused)}; use "
-                "make_backend('remote', hosts=...)"
-            )
-    if name == "remote":
-        if hedge_multiplier is not None or steal_interval_s is not None:
-            raise ValueError(
-                "hedging and work stealing are not supported on the remote "
-                "backend (failover re-dispatch covers host loss)"
-            )
-        if num_workers is not None:
-            raise ValueError(
-                "the remote backend sizes itself from hosts=; "
-                "num_workers is not accepted"
-            )
-        from repro.serve.remote import RemoteBackend  # lazy: avoids an import cycle
-
-        remote_kwargs = {
-            knob: value
-            for knob, value in remote_only.items()
-            if knob != "hosts" and value is not None
-        }
-        if queue_depth is not None:
-            remote_kwargs["queue_depth"] = queue_depth
-        return RemoteBackend(hosts=hosts, fault_plan=fault_plan, **remote_kwargs)
-    if name == "serial":
-        pool_only = {
-            "queue_depth": queue_depth,
-            "fault_plan": fault_plan,
-            "hedge_multiplier": hedge_multiplier,
-            "steal_interval_s": steal_interval_s,
-        }
-        refused = sorted(knob for knob, value in pool_only.items() if value is not None)
-        if refused:
-            raise ValueError(
-                f"the serial backend does not support: {', '.join(refused)}"
-            )
-        return SerialBackend()
-    pool_kwargs: dict = {"num_workers": num_workers, "fault_plan": fault_plan}
-    if queue_depth is not None:
-        pool_kwargs["queue_depth"] = queue_depth
-    if name == "process":
-        return ProcessPoolBackend(
-            hedge_multiplier=hedge_multiplier,
-            steal_interval_s=steal_interval_s,
-            **pool_kwargs,
+    if name not in _BACKEND_KNOBS:
+        raise ValueError(f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}")
+    given = {knob: value for knob, value in knobs.items() if value is not None}
+    if num_workers is not None:
+        given["num_workers"] = num_workers
+    refused = sorted(set(given) - set(_BACKEND_KNOBS[name]))
+    if refused:
+        raise ValueError(
+            f"the {name} backend does not support: {', '.join(refused)} (knobs not "
+            f"supported on the {name} backend are refused, not ignored; it takes "
+            f"{', '.join(_BACKEND_KNOBS[name]) or 'none'})"
         )
-    raise ValueError(f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}")
+    if name == "serial":
+        return SerialBackend()
+    if name == "process":
+        return ProcessPoolBackend(**given)
+    from repro.serve.remote import RemoteBackend  # lazy: avoids an import cycle
+
+    return RemoteBackend(**given)

@@ -20,17 +20,21 @@ The process pool crossed the *process* boundary; this module crosses the
   answering heartbeat pings in between.  :class:`LocalHostCluster` forks N
   loopback agents for tests, benchmarks and demos.
 * **:class:`RemoteBackend`** — an :class:`~repro.serve.backends.ExecutionBackend`
-  scheduling across N hosts with the pool backends' sticky
-  ``(scene, pipeline)`` affinity and outstanding-tile table.  All I/O is
-  non-blocking on the scheduler's own thread (one ``selectors`` loop pumped
-  from ``collect``/``maintain``), so supervision can never be starved by a
-  stuck socket.
+  scheduling across N hosts on the process pool's routing core: sticky
+  ``(scene, pipeline)`` affinity, the outstanding-tile table, collection and
+  failover are the pool's code, and this module supplies only the
+  transport hooks (a task frame into a host's outbox, a pump of the
+  sockets, "up" as liveness, and the fallback or ``unsent`` list for a tile
+  no host can take).  All I/O is non-blocking on the scheduler's own thread
+  (one ``selectors`` loop pumped from ``collect``/``maintain``), so
+  supervision can never be starved by a stuck socket.
 
 **Failure model.**  A host is declared dead when its connection EOFs or
 errors, when a frame arrives torn, or when nothing (results, pongs) has been
-heard for ``heartbeat_timeout_s`` — the silent-partition case.  Death moves
-the host's in-flight tiles to survivors through the outstanding-tile table
-(``redispatched_tiles``), reassigns its affinity keys, and schedules a
+heard for ``heartbeat_timeout_s`` — the silent-partition case.  Death runs
+the same re-routing as a dead pool worker: the host's in-flight tiles move
+to survivors through the outstanding-tile table (``redispatched_tiles``),
+their keys' affinity moves with them, and the backend schedules a
 reconnect with capped exponential backoff and deterministic jitter; a
 successful reconnect (``host_reconnects``) re-handshakes and drains any
 stranded tiles.  With *no* survivors, ``local_fallback=True`` renders
@@ -54,10 +58,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.serve.backends import (
-    _COLLECT_BLOCK_S,
     FaultPlan,
     TileResult,
     TileTask,
+    _build_shard,
     _Dispatch,
     _execute_tile,
     _PoolBackend,
@@ -277,16 +281,12 @@ class RemoteHostAgent:
         spec = payload["spec"]
         host_index = payload["host_index"]
         num_hosts = payload["num_hosts"]
-        key = (host_index, num_hosts, spec)
+        self._fault_plan = payload.get("fault_plan")
+        key = (host_index, num_hosts, spec, self._fault_plan)
         if self._store is None or key != self._store_key:
-            self._store = SceneStore.from_spec(
-                spec, shard_index=host_index, num_shards=num_hosts
-            )
+            self._store = _build_shard(spec, self._fault_plan, host_index, num_hosts)
             self._store_key = key
         self._host_index = host_index
-        self._fault_plan = payload.get("fault_plan")
-        if self._fault_plan is not None and self._fault_plan.poison_key is not None:
-            self._store.poison(*self._fault_plan.poison_key)
         conn.sendall(
             encode_frame(
                 MSG_HELLO_ACK,
@@ -456,11 +456,12 @@ def _parse_hosts(
 class RemoteBackend(_PoolBackend):
     """Schedule tiles across N remote host agents over TCP.
 
-    The pool backends' routing transfers unchanged — sticky ``(scene,
+    The process pool's routing core runs here unchanged — sticky ``(scene,
     pipeline)`` affinity, per-host ``queue_depth`` run-ahead, the
-    outstanding-tile table and duplicate-dropping ``_ingest`` — with a
-    socket replacing the fork + queue pair.  What is new is everything that
-    can go wrong between two machines:
+    outstanding-tile table, duplicate-dropping ``_ingest`` and the
+    re-routing of a lost worker's tiles — with a socket replacing the fork +
+    queue pair.  What is new is everything that can go wrong between two
+    machines:
 
     heartbeat_interval_s / heartbeat_timeout_s:
         A PING goes to every idle-up host each interval; *any* frame counts
@@ -488,10 +489,10 @@ class RemoteBackend(_PoolBackend):
         still bit-identical.  Off by default: a partitioned *scheduler*
         should usually wait, not silently absorb the fleet's work.
 
-    Hedging and work stealing are not offered here yet (``make_backend``
+    Hedging and work stealing are not offered here (``make_backend``
     refuses the knobs loudly): failover redispatch covers host loss, and
-    cross-host hedging wants the per-key service model to learn network
-    latency first.
+    cross-host hedging would want the per-key service model to learn
+    network latency first.
     """
 
     name = "remote"
@@ -598,37 +599,41 @@ class RemoteBackend(_PoolBackend):
         self._outstanding.clear()
         self._results = []
 
-    # -- scheduling interface ------------------------------------------
-    def worker_for(self, key: Tuple[str, str]) -> int:
-        """First touch of a key prefers a *live* host (fewest keys wins)."""
-        worker = self._affinity.get(key)
-        if worker is None:
-            live = self._live_hosts()
-            candidates = live if live else range(self.num_workers)
-            worker = min(candidates, key=lambda i: self._keys_per_worker[i])
-            self._affinity[key] = worker
-            self._keys_per_worker[worker] += 1
-        return worker
+    # -- transport ------------------------------------------------------
+    def _send(self, worker: int, task: TileTask) -> None:
+        channel = self._channels[worker]
+        channel.outbox += encode_frame(MSG_TASK, task)
+        self._update_mask(channel)
 
-    def _submit(self, task: TileTask) -> None:
-        worker = self.worker_for(task.key)
-        self._key_dispatches[task.key] = self._key_dispatches.get(task.key, 0) + 1
-        dispatch = _Dispatch(task=task, worker=worker, dispatched_at=time.monotonic())
-        self._outstanding[(task.job_id, task.tile_index)] = dispatch
-        self._route(dispatch, redispatch=False)
-        self._inflight_per_worker[dispatch.worker] += 1
-        self._pump(0.0)
-
-    def _collect(self, block: bool, timeout: Optional[float]) -> List[TileResult]:
-        # Supervise on EVERY collect — a dead host must not hide behind
-        # results the surviving hosts keep producing.
-        self._supervise()
-        self._pump(0.0)
-        if block and not self._results:
-            self._pump(timeout if timeout is not None else _COLLECT_BLOCK_S)
-            self._supervise()  # the wait may have crossed a deadline
+    def _poll(self, timeout: float) -> List[TileResult]:
+        self._pump(timeout)
         raw, self._results = self._results, []
-        return self._ingest(raw)
+        return raw
+
+    def _is_live(self, worker: int) -> bool:
+        return self._channels[worker].state == "up"
+
+    def _live_workers(self) -> List[int]:
+        return [ch.index for ch in self._channels if ch.state == "up"]
+
+    def _strand(self, dispatch: _Dispatch) -> None:
+        """No host is up: render on the local fallback shard, or park the
+        tile on its owner's ``unsent`` list until some host comes back."""
+        if not self.local_fallback:
+            self._channels[dispatch.worker].unsent.append(dispatch.task)
+            return
+        if self._local_store is None:
+            self._local_store = _build_shard(self._spec, self.fault_plan)
+        self.local_fallback_tiles += 1
+        self._emit(
+            "local-fallback",
+            job_id=dispatch.task.job_id,
+            tile=dispatch.task.tile_index,
+            host=dispatch.worker,
+        )
+        self._results.append(
+            _execute_tile(self._local_store, dispatch.task, worker_id=dispatch.worker)
+        )
 
     def maintain(self) -> None:
         if not self._started:
@@ -637,9 +642,6 @@ class RemoteBackend(_PoolBackend):
         self._pump(0.0)
 
     # -- connection management -----------------------------------------
-    def _live_hosts(self) -> List[int]:
-        return [ch.index for ch in self._channels if ch.state == "up"]
-
     def _start_connect(self, channel: _HostChannel, now: float) -> None:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setblocking(False)
@@ -722,80 +724,7 @@ class RemoteBackend(_PoolBackend):
     def _failover(self, channel: _HostChannel) -> None:
         """Move everything resident on a down host somewhere that can run it."""
         channel.unsent = []  # every entry is also in _outstanding
-        stranded = [d for d in self._outstanding.values() if d.worker == channel.index]
-        for dispatch in stranded:
-            self._route(dispatch, redispatch=True)
-        self._recount_inflight()
-
-    def _route(self, dispatch: _Dispatch, redispatch: bool) -> None:
-        """Send one outstanding tile to the best destination available now.
-
-        The key's affinity moves to the least-loaded live host when its
-        owner is down; with no live host the tile either renders on the
-        local fallback shard or strands on its owner's ``unsent`` list
-        (drained when any host comes back up).
-        """
-        task = dispatch.task
-        owner = self._affinity.get(task.key, dispatch.worker)
-        if self._channels[owner].state != "up":
-            live = self._live_hosts()
-            if live:
-                target = min(live, key=lambda i: self._keys_per_worker[i])
-                self._move_key(task.key, owner, target)
-                owner = target
-            elif self.local_fallback:
-                self._render_locally(dispatch)
-                return
-            else:
-                dispatch.worker = owner
-                dispatch.dispatched_at = time.monotonic()
-                self._channels[owner].unsent.append(task)
-                return
-        dispatch.worker = owner
-        dispatch.dispatched_at = time.monotonic()
-        self._transmit(self._channels[owner], task)
-        if redispatch:
-            self.redispatched_tiles += 1
-            self._emit(
-                "redispatched",
-                job_id=task.job_id,
-                tile=task.tile_index,
-                host=owner,
-            )
-
-    def _move_key(self, key: Tuple[str, str], src: int, dst: int) -> None:
-        if src == dst:
-            return
-        self._affinity[key] = dst
-        self._keys_per_worker[src] = max(0, self._keys_per_worker[src] - 1)
-        self._keys_per_worker[dst] += 1
-
-    def _transmit(self, channel: _HostChannel, task: TileTask) -> None:
-        channel.outbox += encode_frame(MSG_TASK, task)
-        self._update_mask(channel)
-
-    def _render_locally(self, dispatch: _Dispatch) -> None:
-        """Graceful degradation: no host is up, render on a local shard."""
-        if self._local_store is None:
-            self._local_store = SceneStore.from_spec(self._spec)
-            if self.fault_plan is not None and self.fault_plan.poison_key is not None:
-                self._local_store.poison(*self.fault_plan.poison_key)
-        result = _execute_tile(self._local_store, dispatch.task, worker_id=dispatch.worker)
-        dispatch.dispatched_at = time.monotonic()
-        self.local_fallback_tiles += 1
-        self._emit(
-            "local-fallback",
-            job_id=dispatch.task.job_id,
-            tile=dispatch.task.tile_index,
-            host=dispatch.worker,
-        )
-        self._results.append(result)
-
-    def _recount_inflight(self) -> None:
-        loads = [0] * self.num_workers
-        for dispatch in self._outstanding.values():
-            loads[dispatch.worker] += 1
-        self._inflight_per_worker = loads
+        self._worker_lost(channel.index)
 
     # -- supervision ----------------------------------------------------
     def _supervise(self) -> None:

@@ -314,7 +314,8 @@ class TestServingWithOccupancy:
             .image
             for pipeline in ("dense", "spnerf")
         }
-        with RenderServer(store, backend=make_backend(backend_name, num_workers=2)) as server:
+        workers = 2 if backend_name == "process" else None
+        with RenderServer(store, backend=make_backend(backend_name, workers)) as server:
             jobs = {
                 pipeline: server.submit("lego", pipeline, tile_size=77)
                 for pipeline in direct

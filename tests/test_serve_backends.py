@@ -5,6 +5,8 @@ Covers what the backend refactor added on top of the scheduler tests in
 
 * backends — the Serial/ProcessPool contract: lifecycle,
   capacity, sticky ``(scene, pipeline)`` affinity, task picklability;
+* the pool routing core — generated outstanding tables lose a worker and
+  every tile it held is resent, promoted from its hedge or stranded once;
 * cross-backend bit-identity — the acceptance invariant: the same frame,
   served under every backend, is byte-equal for every built-in pipeline;
 * out-of-order completion — tiles applied in arbitrary order still
@@ -28,6 +30,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import PipelineConfig, SpNeRFConfig, available_pipelines
 from repro.serve import (
@@ -43,7 +47,7 @@ from repro.serve import (
     make_backend,
     plan_tiles,
 )
-from repro.serve.backends import ExecutionBackend, _execute_tile
+from repro.serve.backends import ExecutionBackend, _Dispatch, _execute_tile, _PoolBackend
 
 #: Small-but-real pipeline configuration shared by every store in this module.
 SERVE_CONFIG = PipelineConfig(
@@ -131,6 +135,8 @@ def test_make_backend_names_and_validation():
     with pytest.raises(ValueError, match="unknown backend"):
         make_backend("thread")
     with pytest.raises(ValueError, match="num_workers"):
+        make_backend("serial", num_workers=4)  # one worker, not a silent no-op
+    with pytest.raises(ValueError, match="num_workers"):
         ProcessPoolBackend(num_workers=0)
     with pytest.raises(ValueError, match="queue_depth"):
         ProcessPoolBackend(num_workers=1, queue_depth=0)
@@ -188,6 +194,103 @@ def test_pool_can_accept_is_per_key():
     assert backend.worker_for(cold) != backend.worker_for(hot)
 
 
+class _MemoryPool(_PoolBackend):
+    """The shared routing core over an in-memory transport: sends and
+    stranded tiles are recorded, liveness is a set."""
+
+    name = "memory"
+
+    def __init__(self, num_workers: int, live) -> None:
+        super().__init__(num_workers=num_workers)
+        self.live = set(live)
+        self.sent = []
+        self.stranded = []
+
+    def _send(self, worker, task):
+        self.sent.append((worker, task))
+
+    def _is_live(self, worker):
+        return worker in self.live
+
+    def _live_workers(self):
+        return sorted(self.live)
+
+    def _strand(self, dispatch):
+        self.stranded.append(dispatch)
+
+
+@st.composite
+def _lost_worker_cases(draw):
+    """An outstanding table on the live workers (some tiles hedged, some
+    keys owned by a down worker or stolen away from their tiles' worker),
+    the worker about to be lost, and whether it comes straight back (the
+    process pool's respawn) or stays down (a lost remote host)."""
+    num_workers = draw(st.integers(1, 4))
+    workers = range(num_workers)
+    live = draw(st.sets(st.sampled_from(workers), min_size=1))
+    keys = [(f"scene-{i}", "spnerf") for i in range(draw(st.integers(1, 4)))]
+    affinity = {key: draw(st.sampled_from(workers)) for key in keys}
+    tiles = []
+    for tile_index in range(draw(st.integers(0, 12))):
+        worker = draw(st.sampled_from(sorted(live)))
+        others = sorted(live - {worker})
+        hedge = draw(st.none() | st.sampled_from(others)) if others else None
+        tiles.append((draw(st.sampled_from(keys)), worker, hedge))
+    lost = draw(st.sampled_from(sorted(live)))
+    return num_workers, live, affinity, tiles, lost, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lost_worker_cases())
+def test_lost_worker_tiles_are_resent_promoted_or_stranded_once(case):
+    num_workers, live, affinity, tiles, lost, respawned = case
+    backend = _MemoryPool(num_workers, live)
+    backend._affinity = dict(affinity)
+    for worker in affinity.values():
+        backend._keys_per_worker[worker] += 1
+    for tile_index, (key, worker, hedge) in enumerate(tiles):
+        task = TileTask("job", tile_index, key[0], key[1], 0, 0, 1)
+        backend._outstanding[("job", tile_index)] = _Dispatch(task, worker, 0.0, hedge)
+        backend._hedges_in_flight += hedge is not None
+    backend._recount_inflight()
+    if not respawned:
+        backend.live.discard(lost)
+    redispatched_before = backend.redispatched_tiles
+
+    backend._worker_lost(lost)
+
+    sent = [task.tile_index for _, task in backend.sent]
+    assert len(sent) == len(set(sent))  # nothing is resent twice
+    assert all(worker in backend.live for worker, _ in backend.sent)
+    stranded = [dispatch.task.tile_index for dispatch in backend.stranded]
+    for tile_index, (key, worker, hedge) in enumerate(tiles):
+        dispatch = backend._outstanding[("job", tile_index)]
+        if worker != lost:
+            assert tile_index not in sent and tile_index not in stranded
+            assert dispatch.worker == worker
+            assert dispatch.hedge_worker == (None if hedge == lost else hedge)
+        elif hedge is not None:  # promoted from its live hedge, no resend
+            assert (dispatch.worker, dispatch.hedge_worker) == (hedge, None)
+            assert tile_index not in sent and tile_index not in stranded
+        elif backend.live:
+            assert tile_index in sent and tile_index not in stranded
+            assert (dispatch.worker, dispatch.task) in backend.sent
+            assert backend._affinity[key] == dispatch.worker
+        else:
+            assert stranded.count(tile_index) == 1 and tile_index not in sent
+    loads = [0] * num_workers
+    for dispatch in backend._outstanding.values():
+        loads[dispatch.worker] += 1
+        if dispatch.hedge_worker is not None:
+            loads[dispatch.hedge_worker] += 1
+    assert backend._inflight_per_worker == loads
+    assert backend._hedges_in_flight == sum(
+        d.hedge_worker is not None for d in backend._outstanding.values()
+    )
+    assert backend.redispatched_tiles - redispatched_before == len(sent)
+    assert sum(backend._keys_per_worker) == len(affinity)
+
+
 def test_execute_tile_reports_errors_as_results(warm_store):
     bad = TileTask("job-9", 0, "lego", "no-such-pipeline", 0, 0, 8)
     result = _execute_tile(warm_store, bad, worker_id=5)
@@ -206,7 +309,8 @@ def test_served_frames_bit_identical_across_backends(backend_name, direct_frames
     rebuild their bundles from scratch, so this also proves the whole
     scene -> compression -> preprocessing path is deterministic."""
     store = make_store()
-    with RenderServer(store, backend=make_backend(backend_name, num_workers=2)) as server:
+    workers = 2 if backend_name == "process" else None
+    with RenderServer(store, backend=make_backend(backend_name, workers)) as server:
         jobs = {
             pipeline: server.submit("lego", pipeline, tile_size=TILE)
             for pipeline in available_pipelines()
